@@ -13,13 +13,16 @@ Subcommands:
     export-dot --model m.json     DOT rendering of a model file
 
 Exit codes: 0 SAT/TRUE/no divergence, 1 UNSAT/FALSE/divergence found,
-2 usage or parse error, 3 resource limit.
+2 usage or parse error, 3 resource limit, 4 internal error (any other
+exception, such as RecursionError on very deep formulas; the traceback
+goes to stderr).
 """
 
 import argparse
 import json
 import multiprocessing
 import sys
+import traceback
 
 from . import gen, modelcheck, oracle, solver
 from .errors import ResourceLimit
@@ -30,6 +33,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -249,6 +253,10 @@ def main(argv=None):
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
+    except Exception:
+        traceback.print_exc()
+        print("internal error", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -22,7 +22,8 @@ prefixes and the processed marks M:
 Fresh indices come from one counter per run, never reset while
 backtracking, so every prefix produced during a run is unique.  The
 union of all triples produced along an accepted path is a complete,
-clash-free branch, from which witness models are extracted.
+clash-free branch; sat() checks that on every SAT verdict, and reads the
+witness models off it only when a caller asks for them.
 
 The model checker subclasses the engine: hook methods cover everything
 it needs to pin state prefixes to concrete model states.
@@ -46,7 +47,8 @@ from .formula import (
 )
 from .tableau import (
     Branch,
-    extract_models,
+    _check_acceptance,
+    _read_models,
     format_rule_line,
     is_prefix_of,
     render_prefix,
@@ -80,7 +82,6 @@ class SolverOptions:
     time_budget: float = None       # seconds, None for unlimited
     trace: bool = False
     trace_out: object = None        # stream for live trace lines
-    eager_clash: bool = False       # also clash-check right after saturation
 
 
 @dataclass
@@ -117,9 +118,17 @@ class SearchState:
 class SatResult:
     satisfiable: bool
     branch: Branch = None
-    models: object = None
     stats: SearchStats = field(default_factory=SearchStats)
     trace: tuple = ()
+    _models: object = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def models(self):
+        """The witness ModelChain, read off the branch on first access and
+        cached; None on UNSAT."""
+        if self._models is None and self.branch is not None:
+            self._models = _read_models(self.branch)
+        return self._models
 
 
 def _find_clash(P):
@@ -169,16 +178,11 @@ class _Engine:
     # -- bookkeeping -----------------------------------------------------------
 
     def _emit(self, rule, entry, conclusions):
-        if self.trace is None:
-            return
-        line = format_rule_line(rule, entry, conclusions)
-        self.trace.append(line)
-        if self.opts.trace_out is not None:
-            self.opts.trace_out.write(line + "\n")
+        if self.trace is not None:
+            self._emit_line(format_rule_line(rule, entry, conclusions))
 
     def _emit_line(self, line):
-        if self.trace is None:
-            return
+        """Record a trace line; callers build lines only when tracing is on."""
         self.trace.append(line)
         if self.opts.trace_out is not None:
             self.opts.trace_out.write(line + "\n")
@@ -186,17 +190,19 @@ class _Engine:
     def _reject_clash(self, witness):
         self.stats.backtracks += 1
         self.last_clash = witness
-        mu, sigma, name = witness
-        self._emit_line(
-            f"REJECT ({render_prefix(mu)},{render_prefix(sigma)}) clash {name}"
-        )
+        if self.trace is not None:
+            mu, sigma, name = witness
+            self._emit_line(
+                f"REJECT ({render_prefix(mu)},{render_prefix(sigma)}) clash {name}"
+            )
 
     def _reject_literal(self, entry):
         self.stats.backtracks += 1
-        mu, sigma, f = entry
-        self._emit_line(
-            f"REJECT ({render_prefix(mu)},{render_prefix(sigma)}) literal {render(f)}"
-        )
+        if self.trace is not None:
+            mu, sigma, f = entry
+            self._emit_line(
+                f"REJECT ({render_prefix(mu)},{render_prefix(sigma)}) literal {render(f)}"
+            )
 
     def _note_entry(self, e):
         st = self.stats
@@ -279,11 +285,6 @@ class _Engine:
                 target = e
                 break
         if target is None:
-            if self.opts.eager_clash:
-                w = _find_clash(P)
-                if w is not None:
-                    self._reject_clash(w)
-                    return
             yield from self._post_saturation(P, M, mu, sigma, depth, ctx, contrib)
             return
 
@@ -386,7 +387,9 @@ class _Engine:
 
 def sat(f, opts=None):
     """Decide satisfiability of f; on success the result carries the branch,
-    the extracted witness models and the search statistics.
+    the witness models (read on first access) and the search statistics.
+    Every SAT verdict is first checked to rest on a complete, clash-free
+    branch (tableau.Clash / tableau.NotComplete otherwise).
 
     Raises FragmentViolation for universal quantifiers and ResourceLimit
     when a budget runs out (never silently reported as unsatisfiable).
@@ -406,8 +409,8 @@ def sat(f, opts=None):
             seen.add(e)
             entries.append(e)
     branch = Branch(entries, next_index=engine.counter)
-    models = extract_models(branch)
-    return SatResult(True, branch, models, engine.stats, trace)
+    _check_acceptance(branch)
+    return SatResult(True, branch, engine.stats, trace)
 
 
 def run_activation(state, opts=None):

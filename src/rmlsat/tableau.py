@@ -365,6 +365,12 @@ def extract_models(branch):
     propagation makes those canonical).  Raises Clash or NotComplete if
     the branch does not qualify.
     """
+    _check_acceptance(branch)
+    return _read_models(branch)
+
+
+def _check_acceptance(branch):
+    """Raise Clash or NotComplete unless the branch is complete and accepting."""
     clash = branch.has_clash()
     if clash is not None:
         mu, sigma, name = clash
@@ -372,6 +378,9 @@ def extract_models(branch):
     if not branch.is_complete():
         raise NotComplete("branch has unapplied rule instances")
 
+
+def _read_models(branch):
+    """The model chain of a branch that _check_acceptance has passed."""
     entries = branch.entries
     mus = sorted({e[0] for e in entries})
     atoms_at = {}

@@ -1,7 +1,11 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import pytest
+
+from rmlsat import solver
 from rmlsat.cli import main
 from rmlsat.kripke import pointed_from_dict, verify_refinement_mapping
 from rmlsat.tableau import ModelChain
@@ -69,6 +73,16 @@ class TestSat:
         assert lines[0].startswith("AND (1,1) (p & q) => ")
         assert any(line.startswith("activations=") for line in lines)
         assert lines[-1] == "SAT"
+
+    def test_internal_error_exit_four(self, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(solver, "sat", crash)
+        code, out, err = run(["sat", "p"])
+        assert code == 4
+        assert out == ""
+        assert "Traceback" in err and "RuntimeError: boom" in err
 
 
 class TestCheck:
@@ -170,3 +184,38 @@ def test_byte_identical_reruns(tmp_path):
     assert code1 == code2 == 0
     assert out1 == out2
     assert w1.read_bytes() == w2.read_bytes()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# criterion 8's formulas; their golden files pin the exact bytes of
+# `sat --trace --stats --witness`, so any change to search order, trace
+# format or witness reading shows here
+GOLDEN_SAT = [
+    "Er (<>p & (q | !p)) | <>(p & Er []!q)",
+    "Er Er (<>p | []q)",
+    "(p | q) & Er <> (p & !q)",
+    "<>p & []!p",
+]
+
+
+@pytest.mark.parametrize("i", range(1, len(GOLDEN_SAT) + 1))
+def test_golden_sat_trace_stats_witness(tmp_path, i):
+    w = tmp_path / "w.json"
+    code, out, _ = run(["sat", GOLDEN_SAT[i - 1], "--trace", "--stats", "--witness", str(w)])
+    assert out == (GOLDEN / f"c8_{i}.stdout.txt").read_text()
+    want = GOLDEN / f"c8_{i}.witness.json"
+    if want.exists():
+        assert code == 0
+        assert w.read_bytes() == want.read_bytes()
+    else:
+        assert code == 1 and not w.exists()
+
+
+def test_golden_check_trace():
+    # literal rejects, BOX1 expansion and an EXR child under a pinned state
+    code, out, _ = run([
+        "check", "--model", str(GOLDEN / "check_model.json"),
+        "--formula", "(p | <>q) & []Er <>p & <>(q & !p)", "--trace",
+    ])
+    assert code == 1
+    assert out == (GOLDEN / "check_stdout.txt").read_text()

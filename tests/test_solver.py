@@ -3,7 +3,7 @@ import random
 import pytest
 
 import kref
-from rmlsat import gen
+from rmlsat import gen, solver
 from rmlsat.errors import ResourceLimit
 from rmlsat.formula import FragmentViolation, metrics, parse, render, size
 from rmlsat.kripke import PointedModel, verify_refinement_mapping
@@ -15,6 +15,7 @@ from rmlsat.solver import (
     run_activation,
     sat,
 )
+from rmlsat.tableau import Clash, NotComplete, extract_models
 
 
 def entries(*rows):
@@ -125,11 +126,61 @@ class TestDeterminism:
         assert a.stats == b.stats
 
 
-class TestEagerClashOption:
-    def test_same_verdicts(self):
-        eager = SolverOptions(eager_clash=True)
-        for f in gen.enumerate_formulas(5, ("p", "q")):
-            assert sat(f, eager).satisfiable == sat(f).satisfiable, render(f)
+class TestLazyModels:
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls = []
+        real = solver._read_models
+
+        def counting(branch):
+            calls.append(branch)
+            return real(branch)
+
+        monkeypatch.setattr(solver, "_read_models", counting)
+        return calls
+
+    def test_verdict_alone_reads_no_models(self, reads):
+        for f in gen.enumerate_formulas(4, ("p", "q")):
+            sat(f).satisfiable
+        assert reads == []
+
+    def test_models_read_once(self, reads):
+        res = sat(parse("Er <>p & q"))
+        first = res.models
+        assert res.models is first
+        assert len(reads) == 1
+        assert first.to_dict() == extract_models(res.branch).to_dict()
+
+    def test_every_sat_verdict_is_checked(self, monkeypatch):
+        checked = []
+        real = solver._check_acceptance
+
+        def counting(branch):
+            checked.append(branch)
+            real(branch)
+
+        monkeypatch.setattr(solver, "_check_acceptance", counting)
+        verdicts = [sat(f).satisfiable for f in gen.enumerate_formulas(4, ("p", "q"))]
+        assert len(checked) == sum(verdicts) > 0
+
+    def test_incomplete_branch_raises(self, monkeypatch):
+        # the search claims success but contributes only the root entry,
+        # leaving its and-rule unapplied
+        root = ((1,), (1,), parse("p & <>q"))
+        monkeypatch.setattr(solver._Engine, "solve", lambda *a: (None, [root]))
+        with pytest.raises(NotComplete):
+            sat(root[2])
+
+    def test_clashing_branch_raises(self, monkeypatch):
+        f = parse("p | !p")
+        contradictory = [
+            ((1,), (1,), f),
+            ((1,), (1,), parse("p")),
+            ((1,), (1,), parse("!p")),
+        ]
+        monkeypatch.setattr(solver._Engine, "solve", lambda *a: (None, contradictory))
+        with pytest.raises(Clash):
+            sat(f)
 
 
 class TestKFragment:
