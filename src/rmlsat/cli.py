@@ -12,10 +12,14 @@ Subcommands:
                                   variable-free formula (top/bot grammar)
     export-dot --model m.json     DOT rendering of a model file
 
+`reduce-k` reads its formula with the main formula parser but admits
+only the tokens `top`, `bot`, `<>`, `[]`, `&`, `|` and parentheses.
+
 Exit codes: 0 SAT/TRUE/no divergence, 1 UNSAT/FALSE/divergence found,
-2 usage or parse error, 3 resource limit, 4 internal error (any other
-exception, such as RecursionError on very deep formulas; the traceback
-goes to stderr).
+2 usage or parse error (also a universal quantifier `Ar`, which every
+decision procedure rejects with FragmentViolation), 3 resource limit,
+4 internal error (any other exception, such as RecursionError on very
+deep formulas; the traceback goes to stderr).
 """
 
 import argparse
@@ -26,7 +30,7 @@ import traceback
 
 from . import gen, modelcheck, oracle, solver
 from .errors import ResourceLimit
-from .formula import FragmentViolation, ParseError, in_existential_fragment, parse, render
+from .formula import FragmentViolation, ParseError, parse, render
 from .kripke import StateNotFound, load_model, model_to_dict, pointed_from_dict, to_dot
 
 EXIT_YES = 0
@@ -51,8 +55,6 @@ def _read_formula(text):
         f = parse(text)
     except ParseError as exc:
         raise _UsageError(f"parse error: {exc}") from exc
-    if not in_existential_fragment(f):
-        raise _UsageError("universal quantifier (Ar) is not supported")
     return f
 
 
@@ -121,10 +123,15 @@ def _fuzz_one(text):
     return (text, got, want, False)
 
 
+_FUZZ_ATOMS = "pqrstuvwxy"
+
+
 def _cmd_fuzz(args):
-    names = tuple("pqrstuvwxy"[: args.atoms])
-    if not names:
-        raise _UsageError("--atoms must be at least 1")
+    if args.size < 1:
+        raise _UsageError("--size must be at least 1")
+    if not 1 <= args.atoms <= len(_FUZZ_ATOMS):
+        raise _UsageError(f"--atoms must be between 1 and {len(_FUZZ_ATOMS)}")
+    names = tuple(_FUZZ_ATOMS[: args.atoms])
     if args.count == "all":
         formulas = list(gen.enumerate_formulas(args.size, names))
     else:
@@ -132,6 +139,8 @@ def _cmd_fuzz(args):
             count = int(args.count)
         except ValueError:
             raise _UsageError("--count takes a number or 'all'") from None
+        if count < 0:
+            raise _UsageError("--count must not be negative")
         import random
 
         rng = random.Random(args.seed)
@@ -218,8 +227,8 @@ def _build_parser():
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("fuzz", help="compare solver and oracle verdicts")
-    p.add_argument("--size", type=int, default=5, help="maximum formula size")
-    p.add_argument("--atoms", type=int, default=2, help="number of distinct atoms")
+    p.add_argument("--size", type=int, default=5, help="maximum formula size, at least 1")
+    p.add_argument("--atoms", type=int, default=2, help="number of distinct atoms, 1 to 10")
     p.add_argument("--count", default="all", help="'all' or a number of random formulas")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")

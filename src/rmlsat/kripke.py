@@ -168,14 +168,10 @@ def verify_refinement_mapping(m, m2, rel):
     return True
 
 
-def greatest_refinement(m, m2):
-    """The union of all refinement mappings from m to m2 (possibly empty).
-
-    Refinement mappings are closed under union, so the greatest one
-    exists; it is computed as a greatest fixpoint: start from all
-    valuation-compatible pairs and prune until the back condition holds.
-    (m2, t) refines (m, s) exactly when (s, t) is in the result.
-    """
+def _greatest_fixpoint(m, m2, forth):
+    """The largest set of valuation-compatible pairs closed under the back
+    condition, and under the forth condition too when forth is set: start
+    from all compatible pairs and prune until nothing changes."""
     pairs = {
         (s, s2)
         for s in m.states
@@ -190,41 +186,31 @@ def greatest_refinement(m, m2):
                 any((t, t2) in pairs for t in m.successors(s))
                 for t2 in m2.successors(s2)
             )
+            if ok and forth:
+                ok = all(
+                    any((t, t2) in pairs for t2 in m2.successors(s2))
+                    for t in m.successors(s)
+                )
             if not ok:
                 pairs.discard((s, s2))
                 changed = True
-    return RefinementRelation(pairs)
+    return pairs
+
+
+def greatest_refinement(m, m2):
+    """The union of all refinement mappings from m to m2 (possibly empty).
+
+    Refinement mappings are closed under union, so the greatest one
+    exists; it is the greatest fixpoint of the back condition.
+    (m2, t) refines (m, s) exactly when (s, t) is in the result.
+    """
+    return RefinementRelation(_greatest_fixpoint(m, m2, forth=False))
 
 
 def is_bisimilar(a, b):
-    """True iff the two pointed models are bisimilar.
-
-    Greatest fixpoint pruning with both the back and the forth
-    condition; the points must survive in the final relation.
-    """
-    m, m2 = a.model, b.model
-    pairs = {
-        (s, s2)
-        for s in m.states
-        for s2 in m2.states
-        if m.valuation[s] == m2.valuation[s2]
-    }
-    changed = True
-    while changed:
-        changed = False
-        for s, s2 in list(pairs):
-            back = all(
-                any((t, t2) in pairs for t in m.successors(s))
-                for t2 in m2.successors(s2)
-            )
-            forth = all(
-                any((t, t2) in pairs for t2 in m2.successors(s2))
-                for t in m.successors(s)
-            )
-            if not (back and forth):
-                pairs.discard((s, s2))
-                changed = True
-    return (a.point, b.point) in pairs
+    """True iff the two pointed models are bisimilar: the points survive
+    the greatest fixpoint of the back and the forth condition."""
+    return (a.point, b.point) in _greatest_fixpoint(a.model, b.model, forth=True)
 
 
 def _path_id(indices):
@@ -318,16 +304,34 @@ def enumerate_root_restrictions(t):
 # --- serialization ----------------------------------------------------------
 
 
+def _is_strings(x):
+    return isinstance(x, list) and all(isinstance(s, str) for s in x)
+
+
 def model_from_dict(d):
-    """Build (model, point or None) from the JSON object layout."""
-    try:
-        states = d["states"]
-        transitions = [tuple(p) for p in d.get("transitions", ())]
-        valuation = d.get("valuation", {})
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed model object: {exc}") from exc
-    model = KripkeModel(states, transitions, valuation)
+    """Build (model, point or None) from the JSON object layout; ValueError
+    when the object does not follow it."""
+    if not isinstance(d, dict) or "states" not in d:
+        raise ValueError('malformed model object: need an object with "states"')
+    states = d["states"]
+    transitions = d.get("transitions", [])
+    valuation = d.get("valuation", {})
     point = d.get("point")
+    if not _is_strings(states):
+        raise ValueError('malformed model object: "states" must be a list of strings')
+    if not isinstance(transitions, list) or not all(
+        _is_strings(p) and len(p) == 2 for p in transitions
+    ):
+        raise ValueError(
+            'malformed model object: "transitions" must be a list of [from, to] string pairs'
+        )
+    if not isinstance(valuation, dict) or not all(_is_strings(v) for v in valuation.values()):
+        raise ValueError(
+            'malformed model object: "valuation" must map states to lists of atom names'
+        )
+    if point is not None and not isinstance(point, str):
+        raise ValueError('malformed model object: "point" must be a string')
+    model = KripkeModel(states, [tuple(p) for p in transitions], valuation)
     if point is not None and point not in model.valuation:
         raise StateNotFound(f"point {point!r} not a state")
     return model, point

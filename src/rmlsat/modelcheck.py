@@ -26,9 +26,11 @@ of a variable-free basic modal formula psi reduces to checking
 `Er psi` on a single empty-valuation state with a self-loop, because
 every variable-free model refines that structure by mapping all states
 to it.  The grammar has no truth constants, so the variable-free test
-vectors live in a tiny constant grammar of their own (`top`/`bot`) and
-are lowered over a reserved atom when handed to the main pipeline; that
-is a harness convention, not part of the formula language.
+vectors are tuples over `top`/`bot` and are lowered over a reserved atom
+when handed to the main pipeline; that is a harness convention, not part
+of the formula language.  Their text form is read by the main parser
+after a token check that admits only `top`, `bot`, the modal and boolean
+connectives and parentheses.
 """
 
 from .formula import (
@@ -41,7 +43,11 @@ from .formula import (
     FragmentViolation,
     NegAtom,
     Or,
+    ParseError,
+    _tokenize,
+    children,
     in_existential_fragment,
+    parse,
     render,
 )
 from .kripke import KripkeModel, PointedModel
@@ -201,63 +207,29 @@ def render_const(t):
     return f"({render_const(t[1])} {op} {render_const(t[2])})"
 
 
+_CONST_TOKENS = {"dia", "box", "amp", "pipe", "lp", "rp", "eof"}
+_CONST_TAGS = {And: "and", Or: "or", Diamond: "dia", Box: "box"}
+
+
 def parse_const(text):
-    """Parse the constant grammar: `top`, `bot`, `&`, `|`, `<>`, `[]`, parens."""
-    from .formula import ParseError, _tokenize
+    """Parse the constant grammar: `top`, `bot`, `&`, `|`, `<>`, `[]`, parens.
 
-    tokens = _tokenize(text)
-    pos = [0]
+    Any other token is a ParseError at its offset; the rest is read by the
+    main parser, with top and bot as atoms, and turned into tuples."""
+    for kind, value, offset in _tokenize(text):
+        if kind not in _CONST_TOKENS and not (kind == "atom" and value in ("top", "bot")):
+            raise ParseError(
+                f"unexpected {value!r} in a variable-free formula",
+                offset,
+                ("top", "bot", "<>", "[]", "("),
+            )
+    return _const_of(parse(text))
 
-    def peek():
-        return tokens[pos[0]]
 
-    def advance():
-        tok = tokens[pos[0]]
-        pos[0] += 1
-        return tok
-
-    def or_():
-        f = and_()
-        while peek()[0] == "pipe":
-            advance()
-            f = ("or", f, and_())
-        return f
-
-    def and_():
-        f = unary()
-        while peek()[0] == "amp":
-            advance()
-            f = ("and", f, unary())
-        return f
-
-    def unary():
-        kind, value, offset = peek()
-        if kind == "dia":
-            advance()
-            return ("dia", unary())
-        if kind == "box":
-            advance()
-            return ("box", unary())
-        if kind == "atom" and value in ("top", "bot"):
-            advance()
-            return (value,)
-        if kind == "lp":
-            advance()
-            f = or_()
-            kind2, _, offset2 = peek()
-            if kind2 != "rp":
-                raise ParseError("unbalanced parenthesis", offset2, (")",))
-            advance()
-            return f
-        raise ParseError(
-            "expected a variable-free formula", offset, ("top", "bot", "<>", "[]", "(")
-        )
-
-    f = or_()
-    kind, value, offset = peek()
-    if kind != "eof":
-        raise ParseError(f"unexpected {value!r}", offset, ("&", "|", "end of input"))
-    return f
+def _const_of(f):
+    if isinstance(f, Atom):
+        return (f.name,)
+    return (_CONST_TAGS[type(f)],) + tuple(_const_of(c) for c in children(f))
 
 
 _const_cache = {}

@@ -133,14 +133,23 @@ class _ProfileSpace:
 
     def summaries(self, child_profile_sets):
         """All (wit, vio) pairs reachable by keeping at most one profile per
-        child, children considered independently."""
+        child, children considered independently.
+
+        A child whose profile set is the very object of one that already
+        added nothing is skipped: summaries combine by bitwise or, so a set
+        that adds nothing to the pairs at one step adds nothing later."""
         out = {(0, 0)}
+        idle = None
         for profs in child_profile_sets:
+            if profs is idle:
+                continue
             new = set(out)
             for w0, v0 in out:
                 for p in profs:
                     dw, dv = self.delta(p)
                     new.add((w0 | dw, v0 | dv))
+            if len(new) == len(out):
+                idle = profs
             out = new
         return out
 
@@ -304,16 +313,7 @@ def _profile_sat(f, depth, branching, atom_names):
     vals = _valuations(atom_names)
     level = {space.profile(v, 0, 0) for v in vals}
     for _ in range(depth):
-        summaries = {(0, 0)}
-        for _pick in range(branching):
-            new = set(summaries)
-            for w0, v0 in summaries:
-                for p in level:
-                    dw, dv = space.delta(p)
-                    new.add((w0 | dw, v0 | dv))
-            if new == summaries:
-                break
-            summaries = new
+        summaries = space.summaries([level] * branching)
         nxt = set(level)
         for v in vals:
             for w, vi in summaries:

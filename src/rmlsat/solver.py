@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from .errors import ResourceLimit
 from .formula import (
     And,
-    Atom,
     Box,
     Diamond,
     ExistsR,
@@ -49,6 +48,7 @@ from .tableau import (
     Branch,
     _check_acceptance,
     _read_models,
+    find_clash,
     format_rule_line,
     is_prefix_of,
     render_prefix,
@@ -129,24 +129,6 @@ class SatResult:
         if self._models is None and self.branch is not None:
             self._models = _read_models(self.branch)
         return self._models
-
-
-def _find_clash(P):
-    pos = set()
-    neg = set()
-    for mu, sigma, f in P:
-        if not is_literal(f):
-            continue
-        key = (mu, sigma, f.name)
-        if isinstance(f, Atom):
-            if key in neg:
-                return key
-            pos.add(key)
-        else:
-            if key in pos:
-                return key
-            neg.add(key)
-    return None
 
 
 class _Engine:
@@ -351,7 +333,7 @@ class _Engine:
 
     def _exr_phase(self, P, M, ns, k, mu, sigma, depth, ctx, contrib):
         if k == len(ns):
-            w = _find_clash(P)
+            w = find_clash(P)
             if w is not None:
                 self._reject_clash(w)
                 return
@@ -402,13 +384,7 @@ def sat(f, opts=None):
     if got is None:
         return SatResult(False, stats=engine.stats, trace=trace)
     _, contrib = got
-    seen = set()
-    entries = []
-    for e in contrib:
-        if e not in seen:
-            seen.add(e)
-            entries.append(e)
-    branch = Branch(entries, next_index=engine.counter)
+    branch = Branch(contrib, next_index=engine.counter)
     _check_acceptance(branch)
     return SatResult(True, branch, engine.stats, trace)
 

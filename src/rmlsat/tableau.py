@@ -109,6 +109,25 @@ class RuleInstance:
         return f"{self.rule} on {render_entry(self.entry)}{extra}"
 
 
+def find_clash(triples):
+    """The first (mu, sigma, atom name) that the triples, read in order,
+    label with both polarities, or None."""
+    pos = set()
+    neg = set()
+    for mu, sigma, f in triples:
+        if isinstance(f, Atom):
+            key = (mu, sigma, f.name)
+            if key in neg:
+                return key
+            pos.add(key)
+        elif isinstance(f, NegAtom):
+            key = (mu, sigma, f.name)
+            if key in pos:
+                return key
+            neg.add(key)
+    return None
+
+
 class Branch:
     """An ordered, duplicate-free set of prefixed formulas plus the fresh
     index counter.  apply() returns a new Branch; entries are never removed."""
@@ -271,18 +290,7 @@ class Branch:
 
     def has_clash(self):
         """A witness (mu, sigma, atom name) labeled with both polarities, or None."""
-        pos = set()
-        neg = set()
-        for mu, sigma, f in self._order:
-            if isinstance(f, Atom):
-                if (mu, sigma, f.name) in neg:
-                    return (mu, sigma, f.name)
-                pos.add((mu, sigma, f.name))
-            elif isinstance(f, NegAtom):
-                if (mu, sigma, f.name) in pos:
-                    return (mu, sigma, f.name)
-                neg.add((mu, sigma, f.name))
-        return None
+        return find_clash(self._order)
 
     def is_complete(self):
         return not self.applicable_instances()

@@ -62,10 +62,6 @@ class TestSat:
         assert code == 2
         assert "error" in err
 
-    def test_forall_exit_two(self):
-        code, _, err = run(["sat", "Ar p"])
-        assert code == 2
-
     def test_stats_and_trace(self):
         code, out, _ = run(["sat", "p & q", "--stats", "--trace"])
         assert code == 0
@@ -97,6 +93,22 @@ class TestCheck:
         mpath = write_model(tmp_path)
         code, _, err = run(["check", "--model", mpath, "--formula", "p"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            {"states": 5},
+            {"point": ["s"]},
+            {"transitions": [["s", ["s"]]]},
+            {"valuation": {"s": "pq"}},
+        ],
+        ids=["states", "point", "transitions", "valuation"],
+    )
+    def test_malformed_model_exit_two(self, tmp_path, shape):
+        mpath = write_model(tmp_path, **{"point": "s", **shape})
+        code, out, err = run(["check", "--model", mpath, "--formula", "p"])
+        assert (code, out) == (2, "")
+        assert "malformed model object" in err
 
 
 class TestOracle:
@@ -136,6 +148,21 @@ class TestFuzz:
         assert code == 0
         assert "0 divergences" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--size", "0", "--count", "5"],
+            ["--atoms", "0"],
+            ["--atoms", "12"],
+            ["--count", "-1"],
+        ],
+        ids=["size-0", "atoms-0", "atoms-12", "count-negative"],
+    )
+    def test_bad_arguments_exit_two(self, argv):
+        code, out, err = run(["fuzz"] + argv)
+        assert (code, out) == (2, "")
+        assert "error: --" in err
+
 
 class TestReduceK:
     def test_emits_instance(self):
@@ -174,6 +201,23 @@ class TestUsage:
     def test_missing_model_file(self):
         code, _, err = run(["check", "--model", "/nonexistent.json", "--formula", "p"])
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sat", "Ar p"],
+        ["check", "--model", "M", "--formula", "Ar p"],
+        ["oracle-sat", "Ar p"],
+        ["oracle-check", "--model", "M", "Ar p"],
+    ],
+    ids=["sat", "check", "oracle-sat", "oracle-check"],
+)
+def test_forall_exit_two(tmp_path, argv):
+    mpath = write_model(tmp_path, point="s")
+    code, out, err = run([mpath if a == "M" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert "Ar p" in err
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -123,6 +123,12 @@ class TestBisimilar:
             PointedModel(single(["p"]), "s"), PointedModel(single(["q"]), "s")
         )
 
+    def test_back_holds_forth_fails(self):
+        step = KripkeModel(["s", "t"], [("s", "t")], {})
+        lone = single()
+        assert ("s", "s") in greatest_refinement(step, lone).pairs
+        assert not is_bisimilar(PointedModel(step, "s"), PointedModel(lone, "s"))
+
 
 class TestUnravel:
     def test_self_loop_depth_two_is_chain(self):
@@ -227,6 +233,21 @@ class TestSerialization:
             model_from_dict({"states": ["a"], "transitions": [["a", "zz"]]})
         with pytest.raises(StateNotFound):
             model_from_dict({"states": ["a"], "transitions": [], "valuation": {"zz": []}})
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            {"states": 5},
+            {"states": ["a", 1]},
+            {"transitions": "ab"},
+            {"transitions": [["a", ["a"]]]},
+            {"valuation": {"a": "pq"}},
+            {"point": ["a"]},
+        ],
+    )
+    def test_malformed_rejected(self, shape):
+        with pytest.raises(ValueError):
+            model_from_dict({"states": ["a"], **shape})
 
     def test_dot_export(self):
         m = KripkeModel(["a", "b"], [("a", "b")], {"a": ["p"]})

@@ -117,6 +117,11 @@ class TestConstGrammar:
             parse_const("p")
         with pytest.raises(ParseError):
             parse_const("!top")
+        with pytest.raises(ParseError) as info:
+            parse_const("top & p")
+        assert info.value.offset == 6
+        with pytest.raises(ParseError):
+            parse_const("Er top")
 
     def test_lowering(self):
         assert render(lower_const(("bot",))) == "(z & !z)"
