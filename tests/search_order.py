@@ -1,0 +1,117 @@
+"""Hashes that pin the solver's and the model checker's search order.
+
+Each hash covers, per instance in a fixed order, the trace lines, the
+statistics summary and the verdict; for `sat` on SAT also the witness
+JSON that `rmlsat sat --witness` writes.  Any change to which rule fires
+when, to the fresh-index numbering or to witness reading changes a hash.
+
+    PYTHONPATH=src python tests/search_order.py          # print the hashes
+    PYTHONPATH=src python tests/search_order.py --write  # rewrite the golden file
+
+Only rewrite the golden file on purpose: it is the reference that an
+engine change must reproduce.
+"""
+
+import hashlib
+import itertools
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+import modelgen  # noqa: E402
+from rmlsat import gen  # noqa: E402
+from rmlsat.formula import parse, render  # noqa: E402
+from rmlsat.modelcheck import _CheckEngine  # noqa: E402
+from rmlsat.solver import SolverOptions, sat  # noqa: E402
+
+GOLDEN = Path(__file__).parent / "golden" / "search_order.json"
+SWEEP_SIZE = 6
+SWEEP_ATOMS = ("p", "q")
+CHECK_STATES = 2
+CHECK_SIZE = 4
+CHECK_ATOMS = ("p",)
+
+
+def _conj(parts):
+    return " & ".join(parts)
+
+
+def _cnf(clauses):
+    return _conj(
+        "(" + " | ".join(("!" if neg else "") + v for v, neg in c) + ")" for c in clauses
+    )
+
+
+def wide_instances():
+    """(name, formula text): the shapes where P grows to hundreds of entries."""
+    xs = [f"x{i}" for i in range(60)]
+    core = _cnf(
+        list(zip(("c0", "c1", "c2"), signs))
+        for signs in itertools.product((False, True), repeat=3)
+    )
+    return [
+        ("er_dia_30", _conj([f"Er <>{x}" for x in xs[:30]] + ["[]q"])),
+        ("dia_60", _conj([f"<>{x}" for x in xs] + ["[]q"])),
+        ("dia_60_refuted", _conj([f"<>{x}" for x in xs] + [f"[]!{xs[-1]}"])),
+        ("chain_40", "<>" * 40 + "x"),
+        ("chain_40_refuted", _conj(["<>" * 40 + "x", "[]" * 40 + "!x"])),
+        ("er_nest_12", "Er <>" * 12 + "x"),
+        ("atoms_200", _conj(xs * 3 + [f"y{i}" for i in range(20)])),
+        ("atoms_200_refuted", _conj(xs * 3 + [f"y{i}" for i in range(20)] + ["!x7"])),
+        ("core_er_dia", f"Er <>({core})"),
+        ("core_dia_er", f"<>Er ({core})"),
+        ("mixed", "Er (<>p & (q | !p)) & <>(p & Er []!q) & [](q | Er <>!p)"),
+    ]
+
+
+def _sat_record(h, f):
+    r = sat(f, SolverOptions(trace=True))
+    for line in r.trace:
+        h.update(line.encode() + b"\n")
+    h.update(r.stats.summary().encode() + b"\n")
+    h.update(b"SAT\n" if r.satisfiable else b"UNSAT\n")
+    if r.satisfiable:
+        payload = r.models.to_dict(formula_text=render(f))
+        h.update(json.dumps(payload, indent=2, sort_keys=True).encode() + b"\n")
+
+
+def _check_record(h, a, f):
+    engine = _CheckEngine(SolverOptions(trace=True), a)
+    got = engine.solve([((1,), (1,), f)], (1,), (1,), frozenset())
+    for line in engine.trace:
+        h.update(line.encode() + b"\n")
+    h.update(engine.stats.summary().encode() + b"\n")
+    h.update(b"TRUE\n" if got is not None else b"FALSE\n")
+
+
+def compute():
+    """{name: sha256 hex} for every pinned group."""
+    out = {}
+    for n in range(1, SWEEP_SIZE + 1):
+        h = hashlib.sha256()
+        for f in gen.formulas_of_size(n, SWEEP_ATOMS):
+            _sat_record(h, f)
+        out[f"sat_size_{n}"] = h.hexdigest()
+    formulas = list(gen.enumerate_formulas(CHECK_SIZE, CHECK_ATOMS))
+    hashes = {}
+    for a in modelgen.pointed_models(CHECK_STATES, CHECK_ATOMS):
+        h = hashes.setdefault(len(a.model.states), hashlib.sha256())
+        for f in formulas:
+            _check_record(h, a, f)
+    for n, h in sorted(hashes.items()):
+        out[f"check_states_{n}"] = h.hexdigest()
+    for name, text in wide_instances():
+        h = hashlib.sha256()
+        _sat_record(h, parse(text))
+        out[f"wide_{name}"] = h.hexdigest()
+    return out
+
+
+if __name__ == "__main__":
+    got = compute()
+    if "--write" in sys.argv[1:]:
+        GOLDEN.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
+    else:
+        print(json.dumps(got, indent=2, sort_keys=True))
