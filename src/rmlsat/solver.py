@@ -35,10 +35,12 @@ from dataclasses import dataclass, field
 from .errors import ResourceLimit
 from .formula import (
     And,
+    Atom,
     Box,
     Diamond,
     ExistsR,
     FragmentViolation,
+    NegAtom,
     Or,
     in_existential_fragment,
     is_literal,
@@ -63,6 +65,10 @@ __all__ = [
     "sat",
     "run_activation",
 ]
+
+
+# The formulas saturation processes: and, or and literals.
+_SATURATED = (And, Or, Atom, NegAtom)
 
 
 class ClashFailure(Exception):
@@ -213,27 +219,25 @@ class _Engine:
             self.stats.max_p_size = len(P)
         return P
 
-    def _added(self, P, contrib, adds, ctx):
-        """P plus adds, or None if a new literal entry is inadmissible."""
-        P2 = None
-        contrib2 = None
+    def _add(self, P, order, adds, ctx):
+        """Append the adds not yet in P to P and order, in place; False if a
+        new literal entry is inadmissible."""
         for a in adds:
-            if a in (P if P2 is None else P2):
+            if a in P:
                 continue
             if is_literal(a[2]) and not self._literal_ok(a, ctx):
                 self._reject_literal(a)
-                return None
-            if P2 is None:
-                P2 = dict(P)
-                contrib2 = list(contrib)
-            P2[a] = None
-            contrib2.append(a)
+                return False
+            P[a] = None
+            order.append(a)
             self._note_entry(a)
-        if P2 is None:
-            return P, contrib
-        if len(P2) > self.stats.max_p_size:
-            self.stats.max_p_size = len(P2)
-        return P2, contrib2
+        if len(P) > self.stats.max_p_size:
+            self.stats.max_p_size = len(P)
+        return True
+
+    def _check_time(self):
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise ResourceLimit("time budget exhausted")
 
     # -- the procedure ----------------------------------------------------------
 
@@ -252,66 +256,84 @@ class _Engine:
         st.activations += 1
         if st.activations > self.opts.node_budget:
             raise ResourceLimit(f"activation budget exhausted ({self.opts.node_budget})")
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise ResourceLimit("time budget exhausted")
+        self._check_time()
         if depth > st.max_depth:
             st.max_depth = depth
         if len(P) > st.max_p_size:
             st.max_p_size = len(P)
-        yield from self._saturate(P, M, mu, sigma, depth, ctx, list(P))
+        yield from self._saturate(P, list(P), 0, M, mu, sigma, depth, ctx)
 
-    def _saturate(self, P, M, mu, sigma, depth, ctx, contrib):
-        target = None
-        for e in P:
-            if e not in M and (isinstance(e[2], (And, Or)) or is_literal(e[2])):
-                target = e
+    def _saturate(self, P, order, cursor, M, mu, sigma, depth, ctx):
+        """Saturate under and/or/literal, then go on to the modal phases.
+
+        order lists P's entries in insertion order (the produced triples);
+        every entry before the cursor is processed or can never be a
+        target, so the scan for the next target resumes there.  The caller
+        hands over P and order: and/literal steps extend them in place,
+        and each or alternative but the last gets its own copies.  An
+        entry counts as marked once the cursor passes it, so M itself
+        does not grow here: after saturation every and/or/literal entry
+        of P is processed, and the modal phases read M that way."""
+        n = len(order)
+        while True:
+            while cursor < n:
+                e = order[cursor]
+                f = e[2]
+                if isinstance(f, _SATURATED) and e not in M:
+                    break
+                cursor += 1
+            else:
+                yield from self._post_saturation(P, M, mu, sigma, depth, ctx, order)
+                return
+            cursor += 1
+            nu, sg, _ = e
+            if isinstance(f, And):
+                adds = [(nu, sg, f.left), (nu, sg, f.right)]
+                self._emit("AND", e, adds)
+            elif isinstance(f, Or):
                 break
-        if target is None:
-            yield from self._post_saturation(P, M, mu, sigma, depth, ctx, contrib)
-            return
+            else:
+                adds = [(nu[:k], sg, f) for k in range(len(nu) - 1, 0, -1) if (nu[:k], sg, f) not in P]
+                if adds:
+                    self._emit("L", e, adds)
+            if not self._add(P, order, adds, ctx):
+                return
+            n = len(order)
 
-        nu, sg, f = target
-        M2 = M | {target}
-        if isinstance(f, And):
-            adds = [(nu, sg, f.left), (nu, sg, f.right)]
-            self._emit("AND", target, adds)
-            out = self._added(P, contrib, adds, ctx)
-            if out is not None:
-                yield from self._saturate(out[0], M2, mu, sigma, depth, ctx, out[1])
-        elif is_literal(f):
-            adds = [(nu[:k], sg, f) for k in range(len(nu) - 1, 0, -1)]
-            new = [a for a in adds if a not in P]
-            if new:
-                self._emit("L", target, new)
-            out = self._added(P, contrib, adds, ctx)
-            if out is not None:
-                yield from self._saturate(out[0], M2, mu, sigma, depth, ctx, out[1])
-        else:
-            for side in (f.left, f.right):
-                self._emit("OR", target, [(nu, sg, side)])
-                out = self._added(P, contrib, [(nu, sg, side)], ctx)
-                if out is not None:
-                    yield from self._saturate(out[0], M2, mu, sigma, depth, ctx, out[1])
+        for side, last in ((f.left, False), (f.right, True)):
+            self._check_time()
+            self._emit("OR", e, [(nu, sg, side)])
+            P2, order2 = (P, order) if last else (dict(P), list(order))
+            if self._add(P2, order2, [(nu, sg, side)], ctx):
+                yield from self._saturate(P2, order2, cursor, M, mu, sigma, depth, ctx)
 
     def _post_saturation(self, P, M, mu, sigma, depth, ctx, contrib):
-        dias = [e for e in P if e not in M and isinstance(e[2], Diamond)]
-        yield from self._dia_phase(P, M, dias, 0, mu, sigma, depth, ctx, contrib)
+        dias = []
+        boxes = []
+        for e in P:
+            f = e[2]
+            if isinstance(f, Diamond):
+                if e not in M:
+                    dias.append(e)
+            elif isinstance(f, Box) and e[1] == sigma:
+                boxes.append(e)
+        yield from self._dia_phase(P, M, dias, boxes, 0, mu, sigma, depth, ctx, contrib)
 
-    def _dia_phase(self, P, M, dias, k, mu, sigma, depth, ctx, contrib):
+    def _dia_phase(self, P, M, dias, boxes, k, mu, sigma, depth, ctx, contrib):
         if k == len(dias):
-            ns = [e for e in P if e not in M and isinstance(e[2], ExistsR)]
-            yield from self._exr_phase(P, M | frozenset(ns), ns, 0, mu, sigma, depth, ctx, contrib)
+            ns = [e for e in P if isinstance(e[2], ExistsR) and e not in M]
+            if ns:
+                # quantifier children inherit every mark of this activation
+                saturated = (e for e in P if isinstance(e[2], _SATURATED))
+                M = M.union(saturated, dias, ns)
+            yield from self._exr_phase(P, M, ns, 0, mu, sigma, depth, ctx, contrib)
             return
         e = dias[k]
         nu, _, f = e
         i = self._fresh()
         sigma_i = sigma + (i,)
         concl = (nu, sigma_i, f.body)
-        box_pairs = [
-            (b, (b[0], sigma_i, b[2].body))
-            for b in P
-            if isinstance(b[2], Box) and b[1] == sigma and is_prefix_of(b[0], nu)
-        ]
+        box_pairs = [(b, (b[0], sigma_i, b[2].body)) for b in boxes if is_prefix_of(b[0], nu)]
         for ctx2 in self._dia_contexts(sigma, sigma_i, ctx):
             self._emit("DIA", e, [concl])
             for premise, c in box_pairs:
@@ -328,7 +350,7 @@ class _Engine:
             if got is None:
                 continue
             yield from self._dia_phase(
-                P, M | {e}, dias, k + 1, mu, sigma, depth, ctx2, contrib + got
+                P, M, dias, boxes, k + 1, mu, sigma, depth, ctx2, contrib + got
             )
 
     def _exr_phase(self, P, M, ns, k, mu, sigma, depth, ctx, contrib):

@@ -132,9 +132,10 @@ class Branch:
     """An ordered, duplicate-free set of prefixed formulas plus the fresh
     index counter.  apply() returns a new Branch; entries are never removed."""
 
-    __slots__ = ("_order", "_set", "next_index")
+    __slots__ = ("_order", "_set", "next_index", "_idx")
 
     def __init__(self, entries, next_index=None):
+        self._idx = None
         self._order = []
         self._set = set()
         for e in entries:
@@ -171,6 +172,7 @@ class Branch:
 
     def _extended(self, new_entries, bump=0):
         b = Branch.__new__(Branch)
+        b._idx = None
         b._order = list(self._order)
         b._set = set(self._set)
         for e in new_entries:
@@ -182,36 +184,45 @@ class Branch:
 
     # -- rule machinery ------------------------------------------------------
 
+    def _index(self):
+        """The branch index, built on first use in one pass over the entries:
+
+        succ  (mu, sigma) -> {sigma.i: None}, the immediate extensions of
+              sigma occurring with a model prefix extending mu, in
+              first-occurrence order;
+        dia   {(mu, sigma, a)} such that some (mu, sigma.i, a) occurs;
+        exr   (mu, sigma, a) -> [mu.m, ...] such that (mu.m, sigma, a) occurs.
+
+        An entry costs one update per prefix of its model prefix, so the
+        pass is linear in the branch for a bounded quantifier depth.
+        """
+        if self._idx is None:
+            succ, dia, exr = {}, set(), {}
+            prefixes = {}
+            for mu, sigma, f in self._order:
+                if len(sigma) > 1:
+                    parent = sigma[:-1]
+                    dia.add((mu, parent, f))
+                    ps = prefixes.get(mu)
+                    if ps is None:
+                        ps = prefixes[mu] = [mu[:k] for k in range(1, len(mu) + 1)]
+                    for nu in ps:
+                        succ.setdefault((nu, parent), {})[sigma] = None
+                if len(mu) > 1:
+                    exr.setdefault((mu[:-1], sigma, f), []).append(mu)
+            self._idx = (succ, dia, exr)
+        return self._idx
+
     def _box_witnesses(self, mu, sigma):
         """Existing successor prefixes sigma.i visible to a box at (mu, sigma):
         those occurring with a model prefix extending mu."""
-        out = []
-        seen = set()
-        want = len(sigma) + 1
-        for mu2, sigma2, _ in self._order:
-            if (
-                len(sigma2) == want
-                and sigma2[:-1] == sigma
-                and is_prefix_of(mu, mu2)
-                and sigma2 not in seen
-            ):
-                seen.add(sigma2)
-                out.append(sigma2)
-        return out
+        return list(self._index()[0].get((mu, sigma), ()))
 
     def _has_dia_witness(self, mu, sigma, body):
-        want = len(sigma) + 1
-        return any(
-            mu2 == mu and len(sigma2) == want and sigma2[:-1] == sigma and f == body
-            for mu2, sigma2, f in self._order
-        )
+        return (mu, sigma, body) in self._index()[1]
 
     def _has_exr_witness(self, mu, sigma, body):
-        want = len(mu) + 1
-        return any(
-            sigma2 == sigma and len(mu2) == want and mu2[:-1] == mu and f == body
-            for mu2, sigma2, f in self._order
-        )
+        return (mu, sigma, body) in self._index()[2]
 
     def applicable_instances(self):
         """Every rule instance whose side condition holds and whose
@@ -389,37 +400,38 @@ def _check_acceptance(branch):
 
 def _read_models(branch):
     """The model chain of a branch that _check_acceptance has passed."""
+    succ, _, exr = branch._index()
     entries = branch.entries
-    mus = sorted({e[0] for e in entries})
     atoms_at = {}
+    anchors = {(1,): (1,)}
+    states = {}  # mu -> the state prefixes occurring with a model prefix extending mu
     for mu, sigma, f in entries:
+        for k in range(1, len(mu) + 1):
+            states.setdefault(mu[:k], set()).add(sigma)
         if mu == (1,) and isinstance(f, Atom):
             atoms_at.setdefault(sigma, set()).add(f.name)
+        elif isinstance(f, ExistsR):
+            # the first quantifier entry whose witness introduced a model
+            for child in exr.get((mu, sigma, f.body), ()):
+                anchors.setdefault(child, sigma)
 
+    names = {}
     chain = []
-    for mu in mus:
-        sigmas = sorted({sigma for mu2, sigma, _ in entries if is_prefix_of(mu, mu2)})
-        sigset = set(sigmas)
-        states = [render_prefix(s) for s in sigmas]
+    for mu in sorted({e[0] for e in entries}):
+        sigmas = sorted(states[mu])
+        for s in sigmas:
+            if s not in names:
+                names[s] = render_prefix(s)
         transitions = [
-            (render_prefix(s), render_prefix(t))
-            for s in sigmas
-            for t in sigmas
-            if len(t) == len(s) + 1 and t[: len(s)] == s
+            (names[s], names[t]) for s in sigmas for t in sorted(succ.get((mu, s), ()))
         ]
-        valuation = {render_prefix(s): atoms_at.get(s, set()) for s in sigmas}
-        anchor = None
-        if mu == (1,):
-            anchor = (1,)
-        else:
-            parent = mu[:-1]
-            for mu2, sigma, f in entries:
-                if mu2 == parent and isinstance(f, ExistsR) and (mu, sigma, f.body) in branch:
-                    anchor = sigma
-                    break
-            if anchor is None:
-                anchor = min(sigset)
+        valuation = {names[s]: atoms_at.get(s, set()) for s in sigmas}
+        anchor = anchors.get(mu, sigmas[0])
         chain.append(
-            ChainModel(mu, KripkeModel(states, transitions, valuation), render_prefix(anchor))
+            ChainModel(
+                mu,
+                KripkeModel([names[s] for s in sigmas], transitions, valuation),
+                render_prefix(anchor),
+            )
         )
     return ModelChain(chain)
