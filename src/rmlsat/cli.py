@@ -81,9 +81,12 @@ def _cmd_sat(args):
     if result.satisfiable:
         if args.witness:
             payload = result.models.to_dict(formula_text=render(f))
-            with open(args.witness, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            try:
+                with open(args.witness, "w", encoding="utf-8") as fh:
+                    json.dump(payload, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+            except OSError as exc:
+                raise _UsageError(f"cannot write witness: {exc}") from exc
         print("SAT")
         return EXIT_YES
     print("UNSAT")
@@ -124,6 +127,7 @@ def _fuzz_one(text):
 
 
 _FUZZ_ATOMS = "pqrstuvwxy"
+_FUZZ_MAX_JOBS = 64
 
 
 def _cmd_fuzz(args):
@@ -131,6 +135,8 @@ def _cmd_fuzz(args):
         raise _UsageError("--size must be at least 1")
     if not 1 <= args.atoms <= len(_FUZZ_ATOMS):
         raise _UsageError(f"--atoms must be between 1 and {len(_FUZZ_ATOMS)}")
+    if not 1 <= args.jobs <= _FUZZ_MAX_JOBS:
+        raise _UsageError(f"--jobs must be between 1 and {_FUZZ_MAX_JOBS}")
     names = tuple(_FUZZ_ATOMS[: args.atoms])
     if args.count == "all":
         formulas = list(gen.enumerate_formulas(args.size, names))
@@ -231,7 +237,10 @@ def _build_parser():
     p.add_argument("--atoms", type=int, default=2, help="number of distinct atoms, 1 to 10")
     p.add_argument("--count", default="all", help="'all' or a number of random formulas")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help=f"parallel worker processes, 1 to {_FUZZ_MAX_JOBS}",
+    )
     p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser("reduce-k", help="emit the model-checking instance for a variable-free formula")

@@ -4,9 +4,13 @@ The solver explores tableau branches with a recursive activation per
 state prefix.  One activation, given the triples P it owns, the current
 prefixes and the processed marks M:
 
-1. saturates P under the and/or/literal rules (each or is a
-   chronological backtrack point; literal processing copies the literal
-   to every ancestor model prefix);
+1. saturates P under the and/or/literal rules with a cursor worklist:
+   P's entries are kept in insertion order and the scan for the next
+   unprocessed and/or/literal entry resumes where the last one stopped;
+   and steps and literal steps (which copy the literal to every ancestor
+   model prefix) run in a loop that extends P in place; each or is a
+   chronological backtrack point, the only place P is copied (once per
+   alternative but the last) and the place the time budget is checked;
 2. for each unprocessed diamond at model prefix nu, builds a child
    problem at a fresh successor prefix holding the diamond body plus
    every box body recorded at an ancestor prefix of nu, and recurses
@@ -293,7 +297,8 @@ class _Engine:
             elif isinstance(f, Or):
                 break
             else:
-                adds = [(nu[:k], sg, f) for k in range(len(nu) - 1, 0, -1) if (nu[:k], sg, f) not in P]
+                adds = [(nu[:k], sg, f) for k in range(len(nu) - 1, 0, -1)]
+                adds = [a for a in adds if a not in P]
                 if adds:
                     self._emit("L", e, adds)
             if not self._add(P, order, adds, ctx):
@@ -308,20 +313,24 @@ class _Engine:
                 yield from self._saturate(P2, order2, cursor, M, mu, sigma, depth, ctx)
 
     def _post_saturation(self, P, M, mu, sigma, depth, ctx, contrib):
-        dias = []
-        boxes = []
+        # one pass: the unprocessed diamonds and quantifiers, and the boxes
+        # at this state prefix (P does not change during the dia phase)
+        dias, boxes, ns = [], [], []
         for e in P:
             f = e[2]
             if isinstance(f, Diamond):
                 if e not in M:
                     dias.append(e)
-            elif isinstance(f, Box) and e[1] == sigma:
-                boxes.append(e)
-        yield from self._dia_phase(P, M, dias, boxes, 0, mu, sigma, depth, ctx, contrib)
+            elif isinstance(f, Box):
+                if e[1] == sigma:
+                    boxes.append(e)
+            elif isinstance(f, ExistsR):
+                if e not in M:
+                    ns.append(e)
+        yield from self._dia_phase(P, M, dias, boxes, ns, 0, mu, sigma, depth, ctx, contrib)
 
-    def _dia_phase(self, P, M, dias, boxes, k, mu, sigma, depth, ctx, contrib):
+    def _dia_phase(self, P, M, dias, boxes, ns, k, mu, sigma, depth, ctx, contrib):
         if k == len(dias):
-            ns = [e for e in P if isinstance(e[2], ExistsR) and e not in M]
             if ns:
                 # quantifier children inherit every mark of this activation
                 saturated = (e for e in P if isinstance(e[2], _SATURATED))
@@ -350,7 +359,7 @@ class _Engine:
             if got is None:
                 continue
             yield from self._dia_phase(
-                P, M, dias, boxes, k + 1, mu, sigma, depth, ctx2, contrib + got
+                P, M, dias, boxes, ns, k + 1, mu, sigma, depth, ctx2, contrib + got
             )
 
     def _exr_phase(self, P, M, ns, k, mu, sigma, depth, ctx, contrib):
@@ -366,10 +375,11 @@ class _Engine:
         i = self._fresh()
         mu_i = nu + (i,)
         new_entry = (mu_i, sigma, f.body)
-        base = [a for a in P if is_prefix_of(a[0], nu)]
         self._emit("EXR", e, [new_entry])
-        childP = self._child_P(base + [new_entry], ctx)
-        if childP is None:
+        # the ancestor-prefix slice of P was admitted under this same state
+        # pinning, so only the new entry needs the literal check
+        childP = {a: None for a in P if is_prefix_of(a[0], nu)}
+        if not self._add(childP, [], [new_entry], ctx):
             return
         for childP_final, child_contrib in self._activate(
             childP, M, mu_i, sigma, depth + 1, ctx

@@ -28,6 +28,15 @@ refinement mappings that send each shared state prefix to itself.
 
 Fresh indices for dia/exr come from a single per-branch counter, so
 prefixes are globally unique within a branch.
+
+Each branch builds one index on first use, in a single pass over its
+entries: from (mu, sigma) to the successor prefixes sigma.i occurring
+under a model prefix extending mu, and the sets of (mu, sigma, body)
+with a dia witness (mu, sigma.i, body) or an exr witness (mu.m, sigma,
+body).  The side conditions of dia, exr and box, the completeness check
+and model reading look entries up there instead of scanning the branch,
+so checking and reading a branch of n entries costs O(n) for a bounded
+quantifier depth.
 """
 
 from dataclasses import dataclass, field

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from rmlsat import solver
+from rmlsat import cli, solver
 from rmlsat.cli import main
 from rmlsat.kripke import pointed_from_dict, verify_refinement_mapping
 from rmlsat.tableau import ModelChain
@@ -69,6 +69,24 @@ class TestSat:
         assert lines[0].startswith("AND (1,1) (p & q) => ")
         assert any(line.startswith("activations=") for line in lines)
         assert lines[-1] == "SAT"
+
+    def test_unwritable_witness_exit_two(self, tmp_path):
+        wpath = tmp_path / "missing" / "w.json"
+        code, out, err = run(["sat", "p", "--witness", str(wpath)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write witness: ")
+        assert "Traceback" not in err
+
+    def test_wide_atom_conjunction(self):
+        xs = " & ".join(f"x_{i}" for i in range(3000))
+        assert run(["sat", xs]) == (0, "SAT\n", "")
+        assert run(["sat", xs + " & !x_7"]) == (1, "UNSAT\n", "")
+
+    def test_deep_diamond_chain_never_unsat(self):
+        # deep modal nesting may still exhaust the stack (exit 4), but it
+        # must never read as a verdict of UNSAT
+        code, _, _ = run(["sat", "<>" * 250 + "p"])
+        assert code in (0, 3, 4)
 
     def test_internal_error_exit_four(self, monkeypatch):
         def crash(*args, **kwargs):
@@ -162,6 +180,17 @@ class TestFuzz:
         code, out, err = run(["fuzz"] + argv)
         assert (code, out) == (2, "")
         assert "error: --" in err
+
+
+    @pytest.mark.parametrize("jobs", ["0", "-2", "100000"])
+    def test_jobs_out_of_range_exit_two(self, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was requested")
+
+        monkeypatch.setattr(cli.multiprocessing, "get_context", no_pool)
+        code, out, err = run(["fuzz", "--size", "3", "--count", "5", "--jobs", jobs])
+        assert (code, out) == (2, "")
+        assert "error: --jobs must be between 1 and 64" in err
 
 
 class TestReduceK:

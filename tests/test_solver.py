@@ -1,4 +1,7 @@
+import itertools
 import random
+import signal
+import time
 
 import pytest
 
@@ -181,6 +184,47 @@ class TestLazyModels:
         monkeypatch.setattr(solver._Engine, "solve", lambda *a: (None, contradictory))
         with pytest.raises(Clash):
             sat(f)
+
+
+def atom_conjunction(n):
+    return " & ".join(f"x_{i}" for i in range(n))
+
+
+class TestWideInputs:
+    """Saturation is a loop, so a wide conjunction costs no stack depth."""
+
+    def test_wide_atom_conjunction_sat(self):
+        res = sat(parse(atom_conjunction(3000)))
+        assert res.satisfiable
+        assert len(res.models.root().model.valuation["1"]) == 3000
+
+    def test_wide_atom_conjunction_refuted(self):
+        assert not sat(parse(atom_conjunction(3000) + " & !x_1234")).satisfiable
+
+
+class TestTimeBudget:
+    def test_fires_inside_one_activation(self):
+        # all 16 sign patterns over four atoms: unsatisfiable, and the one
+        # activation's or-search would run for minutes without the check
+        core = " & ".join(
+            "(" + " | ".join(("!" if neg else "") + v for v, neg in zip("abcd", signs)) + ")"
+            for signs in itertools.product((False, True), repeat=4)
+        )
+        f = parse(core)
+
+        def hung(signum, frame):
+            raise AssertionError("time budget did not fire within 10 s")
+
+        old = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            start = time.monotonic()
+            with pytest.raises(ResourceLimit, match="time budget"):
+                sat(f, SolverOptions(time_budget=0.2))
+            assert time.monotonic() - start < 2.0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
 
 
 class TestKFragment:

@@ -1,5 +1,6 @@
 import pytest
 
+from rmlsat import gen
 from rmlsat.formula import parse
 from rmlsat.kripke import verify_refinement_mapping
 from rmlsat.solver import SolverOptions, sat
@@ -189,6 +190,60 @@ class TestExtraction:
             a.model == b.model and a.point == b.point
             for a, b in zip(back, res.models)
         )
+
+
+def scan_box_witnesses(b, mu, sigma):
+    out = []
+    for mu2, sigma2, _ in b.entries:
+        if sigma2[:-1] == sigma and len(sigma2) == len(sigma) + 1 and is_prefix_of(mu, mu2):
+            if sigma2 not in out:
+                out.append(sigma2)
+    return out
+
+
+def scan_dia_witness(b, mu, sigma, body):
+    return any(m == mu and s[:-1] == sigma and len(s) > 1 and f == body for m, s, f in b.entries)
+
+
+def scan_exr_witness(b, mu, sigma, body):
+    return any(s == sigma and m[:-1] == mu and len(m) > 1 and f == body for m, s, f in b.entries)
+
+
+class TestIndex:
+    """The branch index answers exactly what a scan of the entries would."""
+
+    def assert_matches_scans(self, b):
+        prefixes = {(m, s) for m, s, _ in b.entries}
+        bodies = {f for _, _, f in b.entries}
+        for mu, sigma in prefixes:
+            assert b._box_witnesses(mu, sigma) == scan_box_witnesses(b, mu, sigma)
+            for body in bodies:
+                assert b._has_dia_witness(mu, sigma, body) == scan_dia_witness(b, mu, sigma, body)
+                assert b._has_exr_witness(mu, sigma, body) == scan_exr_witness(b, mu, sigma, body)
+
+    def test_solver_branches(self):
+        for f in gen.enumerate_formulas(4, ("p",)):
+            res = sat(f)
+            if res.satisfiable:
+                self.assert_matches_scans(res.branch)
+
+    def test_hand_built_branch(self):
+        self.assert_matches_scans(Branch([
+            entry([1], [1], "[]p"),
+            entry([1, 2], [1, 3], "q"),
+            entry([1, 2, 4], [1, 5], "<>q"),
+            entry([1, 2, 4], [1, 5, 6], "q"),
+            entry([1], [1, 3], "p"),
+            entry([1, 7], [1], "Er q"),
+            entry([1, 7, 8], [1], "q"),
+        ], next_index=9))
+
+    def test_extended_branch_is_reindexed(self):
+        b = Branch([entry([1], [1], "[]p"), entry([1], [1], "<>q")])
+        assert by_rule(b, "box") == []
+        got = b.apply(by_rule(b, "dia")[0])
+        assert by_rule(got, "dia") == []
+        assert [i.target for i in by_rule(got, "box")] == [(1, 1)]
 
 
 class TestSolverBranchesAreWellFormed:
