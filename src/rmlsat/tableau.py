@@ -40,6 +40,7 @@ quantifier depth.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .formula import And, Atom, Box, Diamond, ExistsR, NegAtom, Or, is_literal, render
 from .kripke import KripkeModel, RefinementRelation, model_from_dict, model_to_dict
@@ -137,6 +138,18 @@ def find_clash(triples):
     return None
 
 
+class _Index(NamedTuple):
+    """Lookups a branch answers without scanning its entries."""
+
+    # (mu, sigma) -> {sigma.i: None}: the immediate extensions of sigma that
+    # occur with a model prefix extending mu, in first-occurrence order
+    succ: dict
+    # {(mu, sigma, a)} such that some (mu, sigma.i, a) occurs
+    dia: set
+    # (mu, sigma, a) -> [mu.m, ...] such that (mu.m, sigma, a) occurs
+    exr: dict
+
+
 class Branch:
     """An ordered, duplicate-free set of prefixed formulas plus the fresh
     index counter.  apply() returns a new Branch; entries are never removed."""
@@ -194,13 +207,7 @@ class Branch:
     # -- rule machinery ------------------------------------------------------
 
     def _index(self):
-        """The branch index, built on first use in one pass over the entries:
-
-        succ  (mu, sigma) -> {sigma.i: None}, the immediate extensions of
-              sigma occurring with a model prefix extending mu, in
-              first-occurrence order;
-        dia   {(mu, sigma, a)} such that some (mu, sigma.i, a) occurs;
-        exr   (mu, sigma, a) -> [mu.m, ...] such that (mu.m, sigma, a) occurs.
+        """The branch index, built on first use in one pass over the entries.
 
         An entry costs one update per prefix of its model prefix, so the
         pass is linear in the branch for a bounded quantifier depth.
@@ -219,19 +226,19 @@ class Branch:
                         succ.setdefault((nu, parent), {})[sigma] = None
                 if len(mu) > 1:
                     exr.setdefault((mu[:-1], sigma, f), []).append(mu)
-            self._idx = (succ, dia, exr)
+            self._idx = _Index(succ, dia, exr)
         return self._idx
 
     def _box_witnesses(self, mu, sigma):
         """Existing successor prefixes sigma.i visible to a box at (mu, sigma):
         those occurring with a model prefix extending mu."""
-        return list(self._index()[0].get((mu, sigma), ()))
+        return list(self._index().succ.get((mu, sigma), ()))
 
     def _has_dia_witness(self, mu, sigma, body):
-        return (mu, sigma, body) in self._index()[1]
+        return (mu, sigma, body) in self._index().dia
 
     def _has_exr_witness(self, mu, sigma, body):
-        return (mu, sigma, body) in self._index()[2]
+        return (mu, sigma, body) in self._index().exr
 
     def applicable_instances(self):
         """Every rule instance whose side condition holds and whose
@@ -409,7 +416,7 @@ def _check_acceptance(branch):
 
 def _read_models(branch):
     """The model chain of a branch that _check_acceptance has passed."""
-    succ, _, exr = branch._index()
+    idx = branch._index()
     entries = branch.entries
     atoms_at = {}
     anchors = {(1,): (1,)}
@@ -420,8 +427,8 @@ def _read_models(branch):
         if mu == (1,) and isinstance(f, Atom):
             atoms_at.setdefault(sigma, set()).add(f.name)
         elif isinstance(f, ExistsR):
-            # the first quantifier entry whose witness introduced a model
-            for child in exr.get((mu, sigma, f.body), ()):
+            # a model's point is the state of the first Er entry it witnesses
+            for child in idx.exr.get((mu, sigma, f.body), ()):
                 anchors.setdefault(child, sigma)
 
     names = {}
@@ -432,7 +439,7 @@ def _read_models(branch):
             if s not in names:
                 names[s] = render_prefix(s)
         transitions = [
-            (names[s], names[t]) for s in sigmas for t in sorted(succ.get((mu, s), ()))
+            (names[s], names[t]) for s in sigmas for t in sorted(idx.succ.get((mu, s), ()))
         ]
         valuation = {names[s]: atoms_at.get(s, set()) for s in sigmas}
         anchor = anchors.get(mu, sigmas[0])
