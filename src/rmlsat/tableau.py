@@ -29,18 +29,17 @@ refinement mappings that send each shared state prefix to itself.
 Fresh indices for dia/exr come from a single per-branch counter, so
 prefixes are globally unique within a branch.
 
-Each branch builds one index on first use, in a single pass over its
-entries: from (mu, sigma) to the successor prefixes sigma.i occurring
-under a model prefix extending mu, and the sets of (mu, sigma, body)
-with a dia witness (mu, sigma.i, body) or an exr witness (mu.m, sigma,
-body).  The side conditions of dia, exr and box, the completeness check
-and model reading look entries up there instead of scanning the branch,
-so checking and reading a branch of n entries costs O(n) for a bounded
-quantifier depth.
+Each branch keeps an index of its entries: from (mu, sigma) to the
+successor prefixes sigma.i occurring under a model prefix extending mu,
+and from (mu, sigma, body) to its dia witnesses (mu, sigma.i, body) and
+exr witnesses (mu.m, sigma, body).  Each of these three maps is built in
+one pass over the entries the first time a lookup needs it.  The side
+conditions of dia, exr and box, the completeness check and model reading
+look entries up there instead of scanning the branch, so checking and
+reading a branch of n entries costs O(n) for a bounded quantifier depth.
 """
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .formula import And, Atom, Box, Diamond, ExistsR, NegAtom, Or, is_literal, render
 from .kripke import KripkeModel, RefinementRelation, model_from_dict, model_to_dict
@@ -138,26 +137,14 @@ def find_clash(triples):
     return None
 
 
-class _Index(NamedTuple):
-    """Lookups a branch answers without scanning its entries."""
-
-    # (mu, sigma) -> {sigma.i: None}: the immediate extensions of sigma that
-    # occur with a model prefix extending mu, in first-occurrence order
-    succ: dict
-    # {(mu, sigma, a)} such that some (mu, sigma.i, a) occurs
-    dia: set
-    # (mu, sigma, a) -> [mu.m, ...] such that (mu.m, sigma, a) occurs
-    exr: dict
-
-
 class Branch:
     """An ordered, duplicate-free set of prefixed formulas plus the fresh
     index counter.  apply() returns a new Branch; entries are never removed."""
 
-    __slots__ = ("_order", "_set", "next_index", "_idx")
+    __slots__ = ("_order", "_set", "next_index", "_succ", "_dia", "_exr")
 
     def __init__(self, entries, next_index=None):
-        self._idx = None
+        self._succ = self._dia = self._exr = None
         self._order = []
         self._set = set()
         for e in entries:
@@ -194,7 +181,7 @@ class Branch:
 
     def _extended(self, new_entries, bump=0):
         b = Branch.__new__(Branch)
-        b._idx = None
+        b._succ = b._dia = b._exr = None
         b._order = list(self._order)
         b._set = set(self._set)
         for e in new_entries:
@@ -206,39 +193,45 @@ class Branch:
 
     # -- rule machinery ------------------------------------------------------
 
-    def _index(self):
-        """The branch index, built on first use in one pass over the entries.
+    # The index (see the module docstring).  Building a map costs one
+    # update per entry, per prefix of its model prefix for succ.
 
-        An entry costs one update per prefix of its model prefix, so the
-        pass is linear in the branch for a bounded quantifier depth.
-        """
-        if self._idx is None:
-            succ, dia, exr = {}, set(), {}
-            prefixes = {}
-            for mu, sigma, f in self._order:
+    def _successors(self):
+        """(mu, sigma) -> {sigma.i: None}: the immediate extensions of sigma
+        that occur with a model prefix extending mu, in first-occurrence
+        order."""
+        if self._succ is None:
+            succ = {}
+            for mu, sigma, _ in self._order:
                 if len(sigma) > 1:
                     parent = sigma[:-1]
-                    dia.add((mu, parent, f))
-                    ps = prefixes.get(mu)
-                    if ps is None:
-                        ps = prefixes[mu] = [mu[:k] for k in range(1, len(mu) + 1)]
-                    for nu in ps:
-                        succ.setdefault((nu, parent), {})[sigma] = None
+                    for k in range(1, len(mu) + 1):
+                        succ.setdefault((mu[:k], parent), {})[sigma] = None
+            self._succ = succ
+        return self._succ
+
+    def _exr_children(self):
+        """(mu, sigma, a) -> [mu.m, ...] such that (mu.m, sigma, a) occurs."""
+        if self._exr is None:
+            exr = {}
+            for mu, sigma, f in self._order:
                 if len(mu) > 1:
                     exr.setdefault((mu[:-1], sigma, f), []).append(mu)
-            self._idx = _Index(succ, dia, exr)
-        return self._idx
+            self._exr = exr
+        return self._exr
 
     def _box_witnesses(self, mu, sigma):
         """Existing successor prefixes sigma.i visible to a box at (mu, sigma):
         those occurring with a model prefix extending mu."""
-        return list(self._index().succ.get((mu, sigma), ()))
+        return list(self._successors().get((mu, sigma), ()))
 
     def _has_dia_witness(self, mu, sigma, body):
-        return (mu, sigma, body) in self._index().dia
+        if self._dia is None:
+            self._dia = {(m, s[:-1], f) for m, s, f in self._order if len(s) > 1}
+        return (mu, sigma, body) in self._dia
 
     def _has_exr_witness(self, mu, sigma, body):
-        return (mu, sigma, body) in self._index().exr
+        return (mu, sigma, body) in self._exr_children()
 
     def applicable_instances(self):
         """Every rule instance whose side condition holds and whose
@@ -416,7 +409,8 @@ def _check_acceptance(branch):
 
 def _read_models(branch):
     """The model chain of a branch that _check_acceptance has passed."""
-    idx = branch._index()
+    succ = branch._successors()
+    exr = branch._exr_children()
     entries = branch.entries
     atoms_at = {}
     anchors = {(1,): (1,)}
@@ -428,7 +422,7 @@ def _read_models(branch):
             atoms_at.setdefault(sigma, set()).add(f.name)
         elif isinstance(f, ExistsR):
             # a model's point is the state of the first Er entry it witnesses
-            for child in idx.exr.get((mu, sigma, f.body), ()):
+            for child in exr.get((mu, sigma, f.body), ()):
                 anchors.setdefault(child, sigma)
 
     names = {}
@@ -439,7 +433,7 @@ def _read_models(branch):
             if s not in names:
                 names[s] = render_prefix(s)
         transitions = [
-            (names[s], names[t]) for s in sigmas for t in sorted(idx.succ.get((mu, s), ()))
+            (names[s], names[t]) for s in sigmas for t in sorted(succ.get((mu, s), ()))
         ]
         valuation = {names[s]: atoms_at.get(s, set()) for s in sigmas}
         anchor = anchors.get(mu, sigmas[0])
