@@ -211,17 +211,7 @@ class _Engine:
     def _child_P(self, entries, ctx):
         """Fresh activation input; None if a literal entry is inadmissible."""
         P = {}
-        for a in entries:
-            if a in P:
-                continue
-            if is_literal(a[2]) and not self._literal_ok(a, ctx):
-                self._reject_literal(a)
-                return None
-            P[a] = None
-            self._note_entry(a)
-        if len(P) > self.stats.max_p_size:
-            self.stats.max_p_size = len(P)
-        return P
+        return P if self._add(P, [], entries, ctx) else None
 
     def _add(self, P, order, adds, ctx):
         """Append the adds not yet in P to P and order, in place; False if a

@@ -181,7 +181,6 @@ class TestFuzz:
         assert (code, out) == (2, "")
         assert "error: --" in err
 
-
     @pytest.mark.parametrize("jobs", ["0", "-2", "100000"])
     def test_jobs_out_of_range_exit_two(self, monkeypatch, jobs):
         def no_pool(*args, **kwargs):
