@@ -4,6 +4,8 @@ Subcommands:
 
     sat <formula|@file>           SAT/UNSAT via the tableau solver
     check --model m.json --formula <f>   TRUE/FALSE on a pointed model
+                                  (both take --node-budget N, the most
+                                  activations, and --time-budget S, seconds)
     oracle-sat <formula|@file>    brute-force satisfiability verdict
     oracle-check --model m.json <f>      brute-force truth verdict
     fuzz --size N --atoms K (--count all | --count C --seed S)
@@ -67,10 +69,17 @@ def _read_pointed(path):
 
 
 def _solver_options(args):
-    return solver.SolverOptions(
-        trace=getattr(args, "trace", False),
-        trace_out=sys.stdout if getattr(args, "trace", False) else None,
+    for flag, value in (("--node-budget", args.node_budget), ("--time-budget", args.time_budget)):
+        if value is not None and not value > 0:  # also rejects NaN
+            raise _UsageError(f"{flag} must be positive")
+    opts = solver.SolverOptions(
+        trace=args.trace,
+        trace_out=sys.stdout if args.trace else None,
+        time_budget=args.time_budget,
     )
+    if args.node_budget is not None:
+        opts.node_budget = args.node_budget
+    return opts
 
 
 def _cmd_sat(args):
@@ -203,6 +212,17 @@ def _cmd_export_dot(args):
     return EXIT_YES
 
 
+def _add_budget_arguments(p):
+    p.add_argument(
+        "--node-budget", type=int, metavar="N",
+        help="stop with exit 3 after N activations (default 1,000,000)",
+    )
+    p.add_argument(
+        "--time-budget", type=float, metavar="S",
+        help="stop with exit 3 after S seconds of search (default unlimited)",
+    )
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="rmlsat",
@@ -215,12 +235,14 @@ def _build_parser():
     p.add_argument("--witness", metavar="OUT.json", help="write the witness model chain")
     p.add_argument("--trace", action="store_true", help="stream rule applications")
     p.add_argument("--stats", action="store_true", help="print search statistics")
+    _add_budget_arguments(p)
     p.set_defaults(func=_cmd_sat)
 
     p = sub.add_parser("check", help="model-check a formula on a pointed model")
     p.add_argument("--model", required=True, metavar="M.json")
     p.add_argument("--formula", required=True, help="formula text, or @file")
     p.add_argument("--trace", action="store_true")
+    _add_budget_arguments(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("oracle-sat", help="brute-force satisfiability")

@@ -85,44 +85,37 @@ class _CheckEngine(_Engine):
     def _dia_contexts(self, sigma, sigma_i, ctx):
         return [{**ctx, sigma_i: a} for a in self.m.successors(ctx[sigma])]
 
-    def _post_saturation(self, P, M, mu, sigma, depth, ctx, contrib):
-        boxes1 = [e for e in P if e[0] == (1,) and isinstance(e[2], Box)]
+    def _post_saturation(self, a, ctx, clash, contrib):
+        # a.boxes holds the boxes at sigma, and every entry of a check
+        # activation sits at sigma, so it holds every box at model prefix 1
+        boxes1 = [e for e in a.boxes if e[0] == (1,)]
         if not boxes1:
-            yield from super()._post_saturation(P, M, mu, sigma, depth, ctx, contrib)
+            yield from self._dia_phase(a, ctx, clash, contrib)
             return
+        sigma = a.sigma
         n = len(sigma)
         covered = {ctx[s] for s in ctx if len(s) == n + 1 and s[:n] == sigma}
-        targets = [a for a in self.m.successors(ctx[sigma]) if a not in covered]
-        yield from self._box1_phase(
-            P, M, boxes1, targets, 0, mu, sigma, depth, ctx, contrib
-        )
+        targets = [t for t in self.m.successors(ctx[sigma]) if t not in covered]
+        yield from self._box1_phase(a, boxes1, targets, 0, ctx, clash, list(contrib))
 
-    def _box1_phase(self, P, M, boxes1, targets, j, mu, sigma, depth, ctx, contrib):
+    def _box1_phase(self, a, boxes1, targets, j, ctx, clash, contrib):
         if j == len(targets):
-            yield from super()._post_saturation(P, M, mu, sigma, depth, ctx, contrib)
+            yield from self._dia_phase(a, ctx, clash, contrib)
             return
-        i = self._fresh()
-        sigma_i = sigma + (i,)
+        sigma_i = a.sigma + (self._fresh(),)
         ctx2 = {**ctx, sigma_i: targets[j]}
         entries = []
         for e in boxes1:
             concl = ((1,), sigma_i, e[2].body)
             self._emit("BOX1", e, [concl])
             entries.append(concl)
-        childP = self._child_P(entries, ctx2)
-        if childP is None:
-            return
-        got = None
-        for _, child_contrib in self._activate(
-            childP, frozenset(), (1,), sigma_i, depth + 1, ctx2
-        ):
-            got = child_contrib
-            break
+        got = self._first(entries, frozenset(), sigma_i, a.depth + 1, ctx2)
         if got is None:
             return
-        yield from self._box1_phase(
-            P, M, boxes1, targets, j + 1, mu, sigma, depth, ctx2, contrib + got
-        )
+        c = len(contrib)
+        contrib.extend(got[1])
+        yield from self._box1_phase(a, boxes1, targets, j + 1, ctx2, clash, contrib)
+        del contrib[c:]
 
 
 def check(a, f, opts=None):

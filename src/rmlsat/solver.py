@@ -1,27 +1,36 @@
 """Backtracking satisfiability solver for the existential refinement fragment.
 
 The solver explores tableau branches with a recursive activation per
-state prefix.  One activation, given the triples P it owns, the current
-prefixes and the processed marks M:
+state prefix.  One activation owns one P, which maps each triple to its
+position in the activation's insertion order (the produced triples),
+and keeps one branch at a time: every choice point remembers how far P
+and its buckets reach and truncates them back before the next
+alternative (an undo trail), so P is never copied.  Given P, the
+current prefixes and the processed marks M, an activation:
 
 1. saturates P under the and/or/literal rules with a cursor worklist:
-   P's entries are kept in insertion order and the scan for the next
-   unprocessed and/or/literal entry resumes where the last one stopped;
-   and steps and literal steps (which copy the literal to every ancestor
-   model prefix) run in a loop that extends P in place; each or is a
-   chronological backtrack point, the only place P is copied (once per
-   alternative but the last) and the place the time budget is checked;
+   the cursor passes each entry once per branch, runs and steps and
+   literal steps (which copy the literal to every ancestor model prefix)
+   in place, fills the buckets of diamonds, boxes and quantifiers, and
+   records the first literal whose complement sits at an earlier
+   position (the clash witness); each or is a chronological backtrack
+   point and the place the time budget is checked;
 2. for each unprocessed diamond at model prefix nu, builds a child
    problem at a fresh successor prefix holding the diamond body plus
-   every box body recorded at an ancestor prefix of nu, and recurses
+   every box body recorded at an ancestor prefix of nu, and runs it
    with an empty mark set (the child's outcome is all that matters, so
-   only its first success is taken);
-3. collects the unprocessed refinement quantifiers, marks them, and for
-   each recurses at a fresh model prefix on the ancestor-prefix slice of
-   P, passing the current marks; the child's literal results for
-   ancestor prefixes merge back into P (these merges are what let
-   clashes discovered in different subtrees meet);
-4. rejects if P now contains a literal clash, else returns P.
+   only its first success is taken); the diamonds' choice points, one
+   per diamond over its target contexts, sit on an explicit stack;
+3. for each unprocessed refinement quantifier, marks it and recurses at
+   a fresh model prefix on the ancestor-prefix slice of P, passing the
+   current marks; the child's literal results for ancestor prefixes are
+   appended to P, where later quantifier children see them (this is how
+   clashes discovered in different subtrees meet), and removed once
+   every continuation from that child completion has been tried;
+4. rejects if saturation recorded a clash witness, else returns P.
+   Merged literals need no check of their own: the complement of one
+   would already have been in the child's slice, so the child would
+   have rejected.
 
 Fresh indices come from one counter per run, never reset while
 backtracking, so every prefix produced during a run is unique.  The
@@ -54,7 +63,6 @@ from .tableau import (
     Branch,
     _check_acceptance,
     _read_models,
-    find_clash,
     format_rule_line,
     is_prefix_of,
     render_prefix,
@@ -73,6 +81,21 @@ __all__ = [
 
 # The formulas saturation processes: and, or and literals.
 _SATURATED = (And, Or, Atom, NegAtom)
+
+def _exr_marks(a):
+    """The marks quantifier children inherit: every mark of the saturated
+    activation a, whose and/or/literal entries are all processed."""
+    if not a.ns:
+        return a.M
+    saturated = (x for x in a.order if isinstance(x[2], _SATURATED))
+    return a.M.union(saturated, a.dias, a.ns)
+
+
+def _truncate(P, order, m):
+    """Undo every addition to P and order past position m."""
+    for a in order[m:]:
+        del P[a]
+    del order[m:]
 
 
 class ClashFailure(Exception):
@@ -141,6 +164,27 @@ class SatResult:
         return self._models
 
 
+class _Activation:
+    """One activation's branch.  P maps each entry to its position in
+    order, the produced triples in insertion order.  dias, boxes and ns
+    are the buckets the saturation cursor fills as it passes entries: the
+    unprocessed diamonds, the boxes at sigma and the unprocessed
+    quantifiers, each in order.  A choice point truncates all of them
+    back to their lengths on entry, so the branch is never copied."""
+
+    __slots__ = ("P", "order", "M", "sigma", "depth", "dias", "boxes", "ns")
+
+    def __init__(self, P, order, M, sigma, depth):
+        self.P = P
+        self.order = order
+        self.M = M
+        self.sigma = sigma
+        self.depth = depth
+        self.dias = []
+        self.boxes = []
+        self.ns = []
+
+
 class _Engine:
     def __init__(self, opts=None):
         self.opts = opts or SolverOptions()
@@ -153,6 +197,7 @@ class _Engine:
             else None
         )
         self.last_clash = None
+        self.complements = {}  # literal -> the literal of the other polarity
 
     # -- hooks for the model-checking variant ---------------------------------
 
@@ -203,26 +248,27 @@ class _Engine:
         if len(e[1]) > st.max_state_prefix_len:
             st.max_state_prefix_len = len(e[1])
 
+    def _complement(self, f):
+        """The literal of the other polarity, for a literal not yet in
+        self.complements; it is cached there."""
+        c = self.complements[f] = NegAtom(f.name) if type(f) is Atom else Atom(f.name)
+        return c
+
     def _fresh(self):
         i = self.counter
         self.counter += 1
         return i
 
-    def _child_P(self, entries, ctx):
-        """Fresh activation input; None if a literal entry is inadmissible."""
-        P = {}
-        return P if self._add(P, [], entries, ctx) else None
-
     def _add(self, P, order, adds, ctx):
-        """Append the adds not yet in P to P and order, in place; False if a
-        new literal entry is inadmissible."""
+        """Append the adds not yet in P to order and record their positions
+        in P, in place; False if a new literal entry is inadmissible."""
         for a in adds:
             if a in P:
                 continue
             if is_literal(a[2]) and not self._literal_ok(a, ctx):
                 self._reject_literal(a)
                 return False
-            P[a] = None
+            P[a] = len(order)
             order.append(a)
             self._note_entry(a)
         if len(P) > self.stats.max_p_size:
@@ -236,16 +282,26 @@ class _Engine:
     # -- the procedure ----------------------------------------------------------
 
     def solve(self, root_entries, mu, sigma, marks):
-        """First accepted completion: (final P, produced triples) or None."""
-        ctx = self._initial_ctx()
-        P = self._child_P(root_entries, ctx)
-        if P is None:
+        """First accepted completion: (final P, produced triples) or None.
+        mu goes unused: every entry carries its own model prefix."""
+        return self._first(root_entries, frozenset(marks), sigma, 1, self._initial_ctx())
+
+    def _first(self, entries, M, sigma, depth, ctx):
+        """The first accepted completion of a fresh activation on entries,
+        or None.  The rest of its search is dropped, so nothing ever
+        truncates the P and produced triples it returns."""
+        P, order = {}, []
+        if not self._add(P, order, entries, ctx):
             return None
-        for final in self._activate(P, frozenset(marks), mu, sigma, 1, ctx):
-            return final
+        for got in self._activate(P, order, M, sigma, depth, ctx):
+            return got
         return None
 
-    def _activate(self, P, M, mu, sigma, depth, ctx):
+    def _activate(self, P, order, M, sigma, depth, ctx):
+        """A generator of every accepted completion (P, produced triples) of
+        the activation that owns P and order.  Both are undone in place on
+        backtracking, so a consumer that keeps either must copy it before
+        resuming the generator."""
         st = self.stats
         st.activations += 1
         if st.activations > self.opts.node_budget:
@@ -255,138 +311,180 @@ class _Engine:
             st.max_depth = depth
         if len(P) > st.max_p_size:
             st.max_p_size = len(P)
-        yield from self._saturate(P, list(P), 0, M, mu, sigma, depth, ctx)
+        return self._saturate(_Activation(P, order, M, sigma, depth), 0, None, ctx)
 
-    def _saturate(self, P, order, cursor, M, mu, sigma, depth, ctx):
+    def _saturate(self, a, cursor, clash, ctx):
         """Saturate under and/or/literal, then go on to the modal phases.
 
-        order lists P's entries in insertion order (the produced triples);
-        every entry before the cursor is processed or can never be a
-        target, so the scan for the next target resumes there.  The caller
-        hands over P and order: and/literal steps extend them in place,
-        and each or alternative but the last gets its own copies.  An
-        entry counts as marked once the cursor passes it, so M itself
-        does not grow here: after saturation every and/or/literal entry
-        of P is processed, and the modal phases read M that way."""
+        Every entry of a.order before the cursor has been passed once on
+        this branch: processed if it is an unmarked and/or/literal entry,
+        put into its bucket if it is a diamond, a box or a quantifier, and
+        checked against P for its complement if it is a literal.  clash is
+        the first literal whose complement sits at an earlier position, the
+        witness a scan of the final P in order would report; it is carried
+        down like the cursor and the activation rejects on it at the end.
+        And/literal steps extend P in place.  An or is a choice point: each
+        alternative extends P in place, and the next one starts from P and
+        the buckets truncated back to the choice point.  An entry counts as
+        marked once the cursor passes it, so M itself does not grow here:
+        after saturation every and/or/literal entry of P is processed, and
+        the modal phases read M that way."""
+        P, order, M, sigma = a.P, a.order, a.M, a.sigma
+        dias, boxes, ns = a.dias, a.boxes, a.ns
+        complements = self.complements
         n = len(order)
         while True:
             while cursor < n:
                 e = order[cursor]
                 f = e[2]
-                if isinstance(f, _SATURATED) and e not in M:
-                    break
+                t = type(f)
+                if t is Atom or t is NegAtom:
+                    if clash is None:
+                        at = P.get((e[0], e[1], complements.get(f) or self._complement(f)))
+                        if at is not None and at < cursor:
+                            clash = (e[0], e[1], f.name)
+                    if e not in M:
+                        break
+                elif t is And or t is Or:
+                    if e not in M:
+                        break
+                elif t is Diamond:
+                    if e not in M:
+                        dias.append(e)
+                elif t is Box:
+                    if e[1] == sigma:
+                        boxes.append(e)
+                elif t is ExistsR and e not in M:
+                    ns.append(e)
                 cursor += 1
             else:
-                yield from self._post_saturation(P, M, mu, sigma, depth, ctx, order)
+                yield from self._post_saturation(a, ctx, clash, order)
                 return
             cursor += 1
             nu, sg, _ = e
-            if isinstance(f, And):
+            if t is And:
                 adds = [(nu, sg, f.left), (nu, sg, f.right)]
                 self._emit("AND", e, adds)
-            elif isinstance(f, Or):
+            elif t is Or:
                 break
             else:
                 adds = [(nu[:k], sg, f) for k in range(len(nu) - 1, 0, -1)]
-                adds = [a for a in adds if a not in P]
+                adds = [x for x in adds if x not in P]
                 if adds:
                     self._emit("L", e, adds)
             if not self._add(P, order, adds, ctx):
                 return
             n = len(order)
 
-        for side, last in ((f.left, False), (f.right, True)):
+        m, nd, nb, nn = len(order), len(dias), len(boxes), len(ns)
+        for side in (f.left, f.right):
+            _truncate(P, order, m)
+            del dias[nd:], boxes[nb:], ns[nn:]
             self._check_time()
             self._emit("OR", e, [(nu, sg, side)])
-            P2, order2 = (P, order) if last else (dict(P), list(order))
-            if self._add(P2, order2, [(nu, sg, side)], ctx):
-                yield from self._saturate(P2, order2, cursor, M, mu, sigma, depth, ctx)
+            if self._add(P, order, [(nu, sg, side)], ctx):
+                yield from self._saturate(a, cursor, clash, ctx)
 
-    def _post_saturation(self, P, M, mu, sigma, depth, ctx, contrib):
-        # one pass: the unprocessed diamonds and quantifiers, and the boxes
-        # at this state prefix (P does not change during the dia phase)
-        dias, boxes, ns = [], [], []
-        for e in P:
-            f = e[2]
-            if isinstance(f, Diamond):
-                if e not in M:
-                    dias.append(e)
-            elif isinstance(f, Box):
-                if e[1] == sigma:
-                    boxes.append(e)
-            elif isinstance(f, ExistsR):
-                if e not in M:
-                    ns.append(e)
-        yield from self._dia_phase(P, M, dias, boxes, ns, 0, mu, sigma, depth, ctx, contrib)
+    def _dia_phase(self, a, ctx, clash, contrib):
+        """Give each diamond a child at a fresh successor prefix, then run
+        the quantifier phase, over every combination of first child
+        successes.
 
-    def _dia_phase(self, P, M, dias, boxes, ns, k, mu, sigma, depth, ctx, contrib):
-        if k == len(dias):
-            if ns:
-                # quantifier children inherit every mark of this activation
-                saturated = (e for e in P if isinstance(e[2], _SATURATED))
-                M = M.union(saturated, dias, ns)
-            yield from self._exr_phase(P, M, ns, 0, mu, sigma, depth, ctx, contrib)
+        contrib lists the triples produced so far.  It starts out as
+        a.order itself, so a phase that appends to it first replaces it
+        with a copy.  One choice point per diamond sits on an explicit
+        stack, so a wide conjunction of diamonds costs no stack depth.  A
+        choice point ranges over the diamond's target contexts; each
+        alternative starts from contrib truncated back to its length when
+        the point was pushed.  ctx is the context of the innermost
+        alternative taken."""
+        dias, boxes, sigma = a.dias, a.boxes, a.sigma
+        if not dias:
+            yield from self._exr_phase(a, _exr_marks(a), 0, ctx, clash, contrib)
             return
-        e = dias[k]
-        nu, _, f = e
-        i = self._fresh()
-        sigma_i = sigma + (i,)
-        concl = (nu, sigma_i, f.body)
-        box_pairs = [(b, (b[0], sigma_i, b[2].body)) for b in boxes if is_prefix_of(b[0], nu)]
-        for ctx2 in self._dia_contexts(sigma, sigma_i, ctx):
-            self._emit("DIA", e, [concl])
-            for premise, c in box_pairs:
-                self._emit("BOX", premise, [c])
-            childP = self._child_P([concl] + [c for _, c in box_pairs], ctx2)
-            if childP is None:
-                continue
-            got = None
-            for _, child_contrib in self._activate(
-                childP, frozenset(), nu, sigma_i, depth + 1, ctx2
-            ):
-                got = child_contrib
-                break
-            if got is None:
-                continue
-            yield from self._dia_phase(
-                P, M, dias, boxes, ns, k + 1, mu, sigma, depth, ctx2, contrib + got
-            )
-
-    def _exr_phase(self, P, M, ns, k, mu, sigma, depth, ctx, contrib):
-        if k == len(ns):
-            w = find_clash(P)
-            if w is not None:
-                self._reject_clash(w)
+        M2 = None
+        stack = []
+        while True:
+            if len(stack) == len(dias):
+                if M2 is None:
+                    M2 = _exr_marks(a)
+                yield from self._exr_phase(a, M2, 0, ctx, clash, contrib)
+            else:
+                e = dias[len(stack)]
+                nu, _, f = e
+                sigma_i = sigma + (self._fresh(),)
+                concl = (nu, sigma_i, f.body)
+                box_pairs = [
+                    (b, (b[0], sigma_i, b[2].body)) for b in boxes if is_prefix_of(b[0], nu)
+                ]
+                contexts = iter(self._dia_contexts(sigma, sigma_i, ctx))
+                stack.append((e, concl, box_pairs, contexts, len(contrib)))
+            # move the innermost choice point to its next child success
+            while stack:
+                e, concl, box_pairs, contexts, c = stack[-1]
+                del contrib[c:]
+                got = None
+                for ctx in contexts:
+                    self._emit("DIA", e, [concl])
+                    for premise, b in box_pairs:
+                        self._emit("BOX", premise, [b])
+                    got = self._first(
+                        [concl] + [b for _, b in box_pairs],
+                        frozenset(), concl[1], a.depth + 1, ctx,
+                    )
+                    if got is not None:
+                        break
+                if got is not None:
+                    if contrib is a.order:
+                        contrib = list(contrib)
+                    contrib.extend(got[1])
+                    break
+                stack.pop()
+            else:
                 return
-            yield (P, contrib)
+
+    # the hook the model checker extends with its BOX1 phase
+    _post_saturation = _dia_phase
+
+    def _exr_phase(self, a, M2, k, ctx, clash, contrib):
+        ns = a.ns
+        if k == len(ns):
+            if clash is not None:
+                self._reject_clash(clash)
+                return
+            yield (a.P, contrib)
             return
+        P, order, sigma = a.P, a.order, a.sigma
         e = ns[k]
         nu, _, f = e
-        i = self._fresh()
-        mu_i = nu + (i,)
+        mu_i = nu + (self._fresh(),)
         new_entry = (mu_i, sigma, f.body)
         self._emit("EXR", e, [new_entry])
         # the ancestor-prefix slice of P was admitted under this same state
         # pinning, so only the new entry needs the literal check
-        childP = {a: None for a in P if is_prefix_of(a[0], nu)}
-        if not self._add(childP, [], [new_entry], ctx):
+        child_order = [x for x in order if is_prefix_of(x[0], nu)]
+        childP = {x: j for j, x in enumerate(child_order)}
+        if not self._add(childP, child_order, [new_entry], ctx):
             return
+        if contrib is order:
+            contrib = list(contrib)
+        m, c = len(order), len(contrib)
+        st = self.stats
         for childP_final, child_contrib in self._activate(
-            childP, M, mu_i, sigma, depth + 1, ctx
+            childP, child_order, M2, sigma, a.depth + 1, ctx
         ):
-            merged = [
-                a
-                for a in childP_final
-                if a not in P and is_prefix_of(a[0], nu) and is_literal(a[2])
-            ]
-            P2 = dict(P)
-            for a in merged:
-                P2[a] = None
-            if len(P2) > self.stats.max_p_size:
-                self.stats.max_p_size = len(P2)
-            yield from self._exr_phase(
-                P2, M, ns, k + 1, mu, sigma, depth, ctx, contrib + child_contrib
-            )
+            # the child's literals at ancestor prefixes join P until the
+            # continuation is done
+            for x in childP_final:
+                if x not in P and is_prefix_of(x[0], nu) and is_literal(x[2]):
+                    P[x] = len(order)
+                    order.append(x)
+            if len(P) > st.max_p_size:
+                st.max_p_size = len(P)
+            contrib.extend(child_contrib)
+            yield from self._exr_phase(a, M2, k + 1, ctx, clash, contrib)
+            _truncate(P, order, m)
+            del contrib[c:]
 
 
 def sat(f, opts=None):

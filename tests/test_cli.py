@@ -1,5 +1,8 @@
 import io
+import itertools
 import json
+import signal
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -82,11 +85,18 @@ class TestSat:
         assert run(["sat", xs]) == (0, "SAT\n", "")
         assert run(["sat", xs + " & !x_7"]) == (1, "UNSAT\n", "")
 
+    @pytest.mark.parametrize("n", [1000, 3000])
+    def test_wide_diamond_conjunction(self, n):
+        dias = " & ".join(f"<>x_{i}" for i in range(n))
+        assert run(["sat", dias + " & []q"]) == (0, "SAT\n", "")
+        assert run(["sat", dias + f" & []!x_{n - 7}"]) == (1, "UNSAT\n", "")
+
     def test_deep_diamond_chain_never_unsat(self):
         # deep modal nesting may still exhaust the stack (exit 4), but it
         # must never read as a verdict of UNSAT
-        code, _, _ = run(["sat", "<>" * 250 + "p"])
-        assert code in (0, 3, 4)
+        for depth in (250, 400):
+            code, _, _ = run(["sat", "<>" * depth + "p"])
+            assert code in (0, 3, 4)
 
     def test_internal_error_exit_four(self, monkeypatch):
         def crash(*args, **kwargs):
@@ -97,6 +107,75 @@ class TestSat:
         assert code == 4
         assert out == ""
         assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+def cnf_core(names):
+    """Every sign pattern over the names as clauses: unsatisfiable."""
+    return " & ".join(
+        "(" + " | ".join(("!" if neg else "") + v for v, neg in zip(names, signs)) + ")"
+        for signs in itertools.product((False, True), repeat=len(names))
+    )
+
+
+class TestBudgets:
+    # Er <>(core) takes three activations: the root, its quantifier child
+    # and that child's diamond child, where the 2,401 or-backtracks happen
+    CORE8 = "Er <>(" + cnf_core("abc") + ")"
+
+    def test_node_budget_exhausted_exit_three(self):
+        code, out, err = run(["sat", self.CORE8, "--node-budget", "2"])
+        assert (code, out) == (3, "")
+        assert err.startswith("resource limit: activation budget exhausted (2)")
+        assert run(["sat", self.CORE8, "--node-budget", "3"]) == (1, "UNSAT\n", "")
+
+    def test_check_node_budget(self, tmp_path):
+        model = write_model(
+            tmp_path, transitions=[["s", "s"]], valuation={"s": ["p"]}, point="s"
+        )
+        argv = ["check", "--model", model, "--formula", "<>p & <>p"]
+        assert run(argv) == (0, "TRUE\n", "")
+        assert run(argv + ["--node-budget", "1"])[0] == 3
+
+    @pytest.mark.parametrize("command", ["sat", "check"])
+    def test_time_budget_exhausted_exit_three(self, tmp_path, command):
+        # without a budget, sat runs for minutes on the 16-clause core over
+        # four atoms, and check for more than 20 s on the 32-clause one
+        if command == "sat":
+            argv = ["sat", cnf_core("abcd")]
+        else:
+            model = write_model(tmp_path, point="s")
+            argv = ["check", "--model", model, "--formula", cnf_core("abcde")]
+
+        def hung(signum, frame):
+            raise AssertionError("time budget did not fire within 10 s")
+
+        old = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(10)
+        try:
+            start = time.monotonic()
+            code, out, err = run(argv + ["--time-budget", "0.2"])
+            assert time.monotonic() - start < 2.0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert (code, out) == (3, "")
+        assert err.startswith("resource limit: time budget exhausted")
+
+    @pytest.mark.parametrize("command", ["sat", "check"])
+    @pytest.mark.parametrize(
+        "budget",
+        [["--node-budget", "0"], ["--node-budget", "-3"], ["--time-budget", "0"],
+         ["--time-budget", "-1.5"], ["--time-budget", "nan"]],
+        ids=["node-0", "node-negative", "time-0", "time-negative", "time-nan"],
+    )
+    def test_non_positive_budget_exit_two(self, tmp_path, command, budget):
+        if command == "sat":
+            argv = ["sat", "p"]
+        else:
+            argv = ["check", "--model", write_model(tmp_path, point="s"), "--formula", "p"]
+        code, out, err = run(argv + budget)
+        assert (code, out) == (2, "")
+        assert err == f"error: {budget[0]} must be positive\n"
 
 
 class TestCheck:

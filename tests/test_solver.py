@@ -50,6 +50,41 @@ class TestRunActivation:
         assert ((1,), (1,), parse("p")) in final
         assert final == set(entries(([1], [1], "Er p"), ([1], [1], "p")))
 
+    @pytest.mark.parametrize(
+        "order, first",
+        [(("q", "p", "!p", "!q"), "p"), (("p", "q", "!q", "!p"), "q")],
+    )
+    def test_clash_witness_is_first_in_insertion_order(self, order, first):
+        st = SearchState(entries(*(([1], [1], text) for text in order)))
+        with pytest.raises(ClashFailure) as err:
+            run_activation(st)
+        assert err.value.witness == ((1,), (1,), first)
+
+    def test_clash_among_marked_entries(self):
+        # marked entries are never processed again, but they still clash
+        clashing = entries(([1], [1], "p"), ([1], [1], "<>q"), ([1], [1], "!p"))
+        st = SearchState(clashing, marks=frozenset(clashing))
+        with pytest.raises(ClashFailure) as err:
+            run_activation(st)
+        assert err.value.witness == ((1,), (1,), "p")
+
+    def test_clash_from_second_completion_merge(self):
+        # the first completion of Er (p | q) merges p, which Er !p refutes;
+        # the second merges q, which only Er !q refutes
+        st = SearchState(entries(([1], [1], "Er (p | q)"), ([1], [1], "Er !p"), ([1], [1], "Er !q")))
+        with pytest.raises(ClashFailure) as err:
+            run_activation(st)
+        assert err.value.witness == ((1,), (1,), "q")
+
+    def test_undone_merge_causes_no_false_clash(self):
+        # p, merged from the first completion of Er (p | q), must be gone
+        # before the second completion's q is merged and Er !p runs
+        st = SearchState(entries(([1], [1], "Er (p | q)"), ([1], [1], "Er !p")))
+        final = run_activation(st)
+        assert final == entries(
+            ([1], [1], "Er (p | q)"), ([1], [1], "Er !p"), ([1], [1], "q"), ([1], [1], "!p")
+        )
+
 
 class TestSat:
     def test_tautology(self):
@@ -190,8 +225,13 @@ def atom_conjunction(n):
     return " & ".join(f"x_{i}" for i in range(n))
 
 
+def diamond_conjunction(n):
+    return " & ".join(f"<>x_{i}" for i in range(n))
+
+
 class TestWideInputs:
-    """Saturation is a loop, so a wide conjunction costs no stack depth."""
+    """Saturation is a loop and the diamonds sit on an explicit stack, so a
+    wide conjunction costs no stack depth."""
 
     def test_wide_atom_conjunction_sat(self):
         res = sat(parse(atom_conjunction(3000)))
@@ -200,6 +240,17 @@ class TestWideInputs:
 
     def test_wide_atom_conjunction_refuted(self):
         assert not sat(parse(atom_conjunction(3000) + " & !x_1234")).satisfiable
+
+    @pytest.mark.parametrize("n", [1000, 3000])
+    def test_wide_diamond_conjunction_sat(self, n):
+        res = sat(parse(diamond_conjunction(n) + " & []q"))
+        assert res.satisfiable
+        root = res.models.root()
+        assert len(root.model.successors(root.point)) == n
+
+    @pytest.mark.parametrize("n", [1000, 3000])
+    def test_wide_diamond_conjunction_refuted(self, n):
+        assert not sat(parse(diamond_conjunction(n) + f" & []!x_{n - 7}")).satisfiable
 
 
 class TestTimeBudget:
