@@ -86,13 +86,13 @@ class _CheckEngine(_Engine):
         return [{**ctx, sigma_i: a} for a in self.m.successors(ctx[sigma])]
 
     def _post_saturation(self, a, ctx, clash, contrib):
-        # a.boxes holds the boxes at sigma, and every entry of a check
+        _, _, _, sigma, _, _, boxes, _ = a
+        # boxes holds the boxes at sigma, and every entry of a check
         # activation sits at sigma, so it holds every box at model prefix 1
-        boxes1 = [e for e in a.boxes if e[0] == (1,)]
+        boxes1 = [e for e in boxes if e[0] == (1,)]
         if not boxes1:
             yield from self._dia_phase(a, ctx, clash, contrib)
             return
-        sigma = a.sigma
         n = len(sigma)
         covered = {ctx[s] for s in ctx if len(s) == n + 1 and s[:n] == sigma}
         targets = [t for t in self.m.successors(ctx[sigma]) if t not in covered]
@@ -102,14 +102,15 @@ class _CheckEngine(_Engine):
         if j == len(targets):
             yield from self._dia_phase(a, ctx, clash, contrib)
             return
-        sigma_i = a.sigma + (self._fresh(),)
+        _, _, _, sigma, depth, _, _, _ = a
+        sigma_i = sigma + (self._fresh(),)
         ctx2 = {**ctx, sigma_i: targets[j]}
         entries = []
         for e in boxes1:
             concl = ((1,), sigma_i, e[2].body)
             self._emit("BOX1", e, [concl])
             entries.append(concl)
-        got = self._first(entries, frozenset(), sigma_i, a.depth + 1, ctx2)
+        got = self._first(entries, frozenset(), sigma_i, depth + 1, ctx2)
         if got is None:
             return
         c = len(contrib)

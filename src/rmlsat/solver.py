@@ -82,13 +82,27 @@ __all__ = [
 # The formulas saturation processes: and, or and literals.
 _SATURATED = (And, Or, Atom, NegAtom)
 
+
+# Each literal's complement.  A pure function of an immutable value, so
+# one table serves every run in the process; it holds two literals per
+# atom name seen.  Building a literal costs about as much as a small
+# activation's cursor pass, and every parse makes fresh literal objects.
+_COMPLEMENTS = {}
+
+
+def _complement(f):
+    c = _COMPLEMENTS[f] = NegAtom(f.name) if type(f) is Atom else Atom(f.name)
+    return c
+
+
 def _exr_marks(a):
     """The marks quantifier children inherit: every mark of the saturated
     activation a, whose and/or/literal entries are all processed."""
-    if not a.ns:
-        return a.M
-    saturated = (x for x in a.order if isinstance(x[2], _SATURATED))
-    return a.M.union(saturated, a.dias, a.ns)
+    _, order, M, _, _, dias, _, ns = a
+    if not ns:
+        return M
+    saturated = (x for x in order if isinstance(x[2], _SATURATED))
+    return M.union(saturated, dias, ns)
 
 
 def _truncate(P, order, m):
@@ -164,27 +178,6 @@ class SatResult:
         return self._models
 
 
-class _Activation:
-    """One activation's branch.  P maps each entry to its position in
-    order, the produced triples in insertion order.  dias, boxes and ns
-    are the buckets the saturation cursor fills as it passes entries: the
-    unprocessed diamonds, the boxes at sigma and the unprocessed
-    quantifiers, each in order.  A choice point truncates all of them
-    back to their lengths on entry, so the branch is never copied."""
-
-    __slots__ = ("P", "order", "M", "sigma", "depth", "dias", "boxes", "ns")
-
-    def __init__(self, P, order, M, sigma, depth):
-        self.P = P
-        self.order = order
-        self.M = M
-        self.sigma = sigma
-        self.depth = depth
-        self.dias = []
-        self.boxes = []
-        self.ns = []
-
-
 class _Engine:
     def __init__(self, opts=None):
         self.opts = opts or SolverOptions()
@@ -197,7 +190,6 @@ class _Engine:
             else None
         )
         self.last_clash = None
-        self.complements = {}  # literal -> the literal of the other polarity
 
     # -- hooks for the model-checking variant ---------------------------------
 
@@ -248,12 +240,6 @@ class _Engine:
         if len(e[1]) > st.max_state_prefix_len:
             st.max_state_prefix_len = len(e[1])
 
-    def _complement(self, f):
-        """The literal of the other polarity, for a literal not yet in
-        self.complements; it is cached there."""
-        c = self.complements[f] = NegAtom(f.name) if type(f) is Atom else Atom(f.name)
-        return c
-
     def _fresh(self):
         i = self.counter
         self.counter += 1
@@ -301,7 +287,16 @@ class _Engine:
         """A generator of every accepted completion (P, produced triples) of
         the activation that owns P and order.  Both are undone in place on
         backtracking, so a consumer that keeps either must copy it before
-        resuming the generator."""
+        resuming the generator.
+
+        The phases share the activation as the tuple a = (P, order, M,
+        sigma, depth, dias, boxes, ns).  P maps each entry to its position
+        in order, the produced triples in insertion order.  dias, boxes and
+        ns are the buckets the saturation cursor fills as it passes
+        entries: the unprocessed diamonds, the boxes at sigma and the
+        unprocessed quantifiers, each in order.  A choice point truncates
+        P, order and the buckets back to their lengths on entry, so the
+        branch is never copied."""
         st = self.stats
         st.activations += 1
         if st.activations > self.opts.node_budget:
@@ -311,12 +306,12 @@ class _Engine:
             st.max_depth = depth
         if len(P) > st.max_p_size:
             st.max_p_size = len(P)
-        return self._saturate(_Activation(P, order, M, sigma, depth), 0, None, ctx)
+        return self._saturate((P, order, M, sigma, depth, [], [], []), 0, None, ctx)
 
     def _saturate(self, a, cursor, clash, ctx):
         """Saturate under and/or/literal, then go on to the modal phases.
 
-        Every entry of a.order before the cursor has been passed once on
+        Every entry of order before the cursor has been passed once on
         this branch: processed if it is an unmarked and/or/literal entry,
         put into its bucket if it is a diamond, a box or a quantifier, and
         checked against P for its complement if it is a literal.  clash is
@@ -329,9 +324,7 @@ class _Engine:
         marked once the cursor passes it, so M itself does not grow here:
         after saturation every and/or/literal entry of P is processed, and
         the modal phases read M that way."""
-        P, order, M, sigma = a.P, a.order, a.M, a.sigma
-        dias, boxes, ns = a.dias, a.boxes, a.ns
-        complements = self.complements
+        P, order, M, sigma, _, dias, boxes, ns = a
         n = len(order)
         while True:
             while cursor < n:
@@ -340,7 +333,7 @@ class _Engine:
                 t = type(f)
                 if t is Atom or t is NegAtom:
                     if clash is None:
-                        at = P.get((e[0], e[1], complements.get(f) or self._complement(f)))
+                        at = P.get((e[0], e[1], _COMPLEMENTS.get(f) or _complement(f)))
                         if at is not None and at < cursor:
                             clash = (e[0], e[1], f.name)
                     if e not in M:
@@ -391,14 +384,14 @@ class _Engine:
         successes.
 
         contrib lists the triples produced so far.  It starts out as
-        a.order itself, so a phase that appends to it first replaces it
+        order itself, so a phase that appends to it first replaces it
         with a copy.  One choice point per diamond sits on an explicit
         stack, so a wide conjunction of diamonds costs no stack depth.  A
         choice point ranges over the diamond's target contexts; each
         alternative starts from contrib truncated back to its length when
         the point was pushed.  ctx is the context of the innermost
         alternative taken."""
-        dias, boxes, sigma = a.dias, a.boxes, a.sigma
+        _, order, _, sigma, depth, dias, boxes, _ = a
         if not dias:
             yield from self._exr_phase(a, _exr_marks(a), 0, ctx, clash, contrib)
             return
@@ -430,12 +423,12 @@ class _Engine:
                         self._emit("BOX", premise, [b])
                     got = self._first(
                         [concl] + [b for _, b in box_pairs],
-                        frozenset(), concl[1], a.depth + 1, ctx,
+                        frozenset(), concl[1], depth + 1, ctx,
                     )
                     if got is not None:
                         break
                 if got is not None:
-                    if contrib is a.order:
+                    if contrib is order:
                         contrib = list(contrib)
                     contrib.extend(got[1])
                     break
@@ -447,14 +440,13 @@ class _Engine:
     _post_saturation = _dia_phase
 
     def _exr_phase(self, a, M2, k, ctx, clash, contrib):
-        ns = a.ns
+        P, order, _, sigma, depth, _, _, ns = a
         if k == len(ns):
             if clash is not None:
                 self._reject_clash(clash)
                 return
-            yield (a.P, contrib)
+            yield (P, contrib)
             return
-        P, order, sigma = a.P, a.order, a.sigma
         e = ns[k]
         nu, _, f = e
         mu_i = nu + (self._fresh(),)
@@ -471,7 +463,7 @@ class _Engine:
         m, c = len(order), len(contrib)
         st = self.stats
         for childP_final, child_contrib in self._activate(
-            childP, child_order, M2, sigma, a.depth + 1, ctx
+            childP, child_order, M2, sigma, depth + 1, ctx
         ):
             # the child's literals at ancestor prefixes join P until the
             # continuation is done
