@@ -83,10 +83,11 @@ __all__ = [
 _SATURATED = (And, Or, Atom, NegAtom)
 
 
-# Each literal's complement.  A pure function of an immutable value, so
-# one table serves every run in the process; it holds two literals per
-# atom name seen.  Building a literal costs about as much as a small
-# activation's cursor pass, and every parse makes fresh literal objects.
+# Each literal's complement.  It is a pure function of an immutable
+# value, so one table serves every run in the process; it holds two
+# literals per atom name seen.  Building a literal validates its name
+# again (about 1 us), and every parse makes fresh literal objects, so a
+# table per run would rebuild them on every call.
 _COMPLEMENTS = {}
 
 

@@ -132,7 +132,7 @@ class TestBudgets:
         model = write_model(
             tmp_path, transitions=[["s", "s"]], valuation={"s": ["p"]}, point="s"
         )
-        argv = ["check", "--model", model, "--formula", "<>p & <>p"]
+        argv = ["check", "--model", model, "--formula", "<>p"]
         assert run(argv) == (0, "TRUE\n", "")
         assert run(argv + ["--node-budget", "1"])[0] == 3
 
