@@ -8,8 +8,11 @@ Subcommands:
                                   activations, and --time-budget S, seconds)
     oracle-sat <formula|@file>    brute-force satisfiability verdict
     oracle-check --model m.json <f>      brute-force truth verdict
+                                  (both take --time-budget S)
     fuzz --size N --atoms K (--count all | --count C --seed S)
                                   solver vs oracle agreement sweep
+                                  (--time-budget S per formula, for the
+                                  solver and the oracle each)
     reduce-k <psi>                emit the model-checking instance for a
                                   variable-free formula (top/bot grammar)
     export-dot --model m.json     DOT rendering of a model file
@@ -25,6 +28,7 @@ deep formulas; the traceback goes to stderr).
 """
 
 import argparse
+import functools
 import json
 import multiprocessing
 import sys
@@ -51,7 +55,7 @@ def _read_formula(text):
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _UsageError(f"cannot read formula file: {exc}") from exc
     try:
         f = parse(text)
@@ -68,10 +72,15 @@ def _read_pointed(path):
         raise _UsageError(f"cannot load model: {exc}") from exc
 
 
+def _positive(flag, value):
+    if value is not None and not value > 0:  # also rejects NaN
+        raise _UsageError(f"{flag} must be positive")
+    return value
+
+
 def _solver_options(args):
-    for flag, value in (("--node-budget", args.node_budget), ("--time-budget", args.time_budget)):
-        if value is not None and not value > 0:  # also rejects NaN
-            raise _UsageError(f"{flag} must be positive")
+    _positive("--node-budget", args.node_budget)
+    _positive("--time-budget", args.time_budget)
     opts = solver.SolverOptions(
         trace=args.trace,
         trace_out=sys.stdout if args.trace else None,
@@ -112,7 +121,7 @@ def _cmd_check(args):
 
 def _cmd_oracle_sat(args):
     f = _read_formula(args.formula)
-    verdict = oracle.oracle_sat(f)
+    verdict = oracle.oracle_sat(f, time_budget=_positive("--time-budget", args.time_budget))
     print("SAT" if verdict else "UNSAT")
     return EXIT_YES if verdict else EXIT_NO
 
@@ -120,16 +129,16 @@ def _cmd_oracle_sat(args):
 def _cmd_oracle_check(args):
     f = _read_formula(args.formula)
     a = _read_pointed(args.model)
-    verdict = oracle.oracle_eval(a, f)
+    verdict = oracle.oracle_eval(a, f, time_budget=_positive("--time-budget", args.time_budget))
     print("TRUE" if verdict else "FALSE")
     return EXIT_YES if verdict else EXIT_NO
 
 
-def _fuzz_one(text):
+def _fuzz_one(text, time_budget=None):
     f = parse(text)
     try:
-        got = solver.sat(f).satisfiable
-        want = oracle.oracle_sat(f)
+        got = solver.sat(f, solver.SolverOptions(time_budget=time_budget)).satisfiable
+        want = oracle.oracle_sat(f, time_budget=time_budget)
     except ResourceLimit:
         return (text, None, None, True)
     return (text, got, want, False)
@@ -146,6 +155,7 @@ def _cmd_fuzz(args):
         raise _UsageError(f"--atoms must be between 1 and {len(_FUZZ_ATOMS)}")
     if not 1 <= args.jobs <= _FUZZ_MAX_JOBS:
         raise _UsageError(f"--jobs must be between 1 and {_FUZZ_MAX_JOBS}")
+    one = functools.partial(_fuzz_one, time_budget=_positive("--time-budget", args.time_budget))
     names = tuple(_FUZZ_ATOMS[: args.atoms])
     if args.count == "all":
         formulas = list(gen.enumerate_formulas(args.size, names))
@@ -166,9 +176,9 @@ def _cmd_fuzz(args):
     texts = [render(f) for f in formulas]
     if args.jobs > 1:
         with multiprocessing.get_context("fork").Pool(args.jobs) as pool:
-            rows = pool.map(_fuzz_one, texts, chunksize=64)
+            rows = pool.map(one, texts, chunksize=64)
     else:
-        rows = [_fuzz_one(t) for t in texts]
+        rows = [one(t) for t in texts]
     divergences = 0
     limited = 0
     for text, got, want, hit_limit in rows:
@@ -217,10 +227,11 @@ def _add_budget_arguments(p):
         "--node-budget", type=int, metavar="N",
         help="stop with exit 3 after N activations (default 1,000,000)",
     )
-    p.add_argument(
-        "--time-budget", type=float, metavar="S",
-        help="stop with exit 3 after S seconds of search (default unlimited)",
-    )
+    _add_time_budget(p)
+
+
+def _add_time_budget(p, help="stop with exit 3 after S seconds of search (default unlimited)"):
+    p.add_argument("--time-budget", type=float, metavar="S", help=help)
 
 
 def _build_parser():
@@ -247,11 +258,13 @@ def _build_parser():
 
     p = sub.add_parser("oracle-sat", help="brute-force satisfiability")
     p.add_argument("formula", help="formula text, or @file")
+    _add_time_budget(p)
     p.set_defaults(func=_cmd_oracle_sat)
 
     p = sub.add_parser("oracle-check", help="brute-force model checking")
     p.add_argument("--model", required=True, metavar="M.json")
     p.add_argument("formula", help="formula text, or @file")
+    _add_time_budget(p)
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("fuzz", help="compare solver and oracle verdicts")
@@ -262,6 +275,11 @@ def _build_parser():
     p.add_argument(
         "--jobs", type=int, default=1,
         help=f"parallel worker processes, 1 to {_FUZZ_MAX_JOBS}",
+    )
+    _add_time_budget(
+        p,
+        help="seconds per formula, for the solver and the oracle each; a formula"
+        " that runs out counts as resource-limited (default unlimited)",
     )
     p.set_defaults(func=_cmd_fuzz)
 

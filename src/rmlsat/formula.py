@@ -280,11 +280,20 @@ def atoms(f):
 def in_existential_fragment(f):
     """True iff no universal refinement quantifier occurs in f."""
     stack = [f]
+    push = stack.append
     while stack:
         g = stack.pop()
-        if isinstance(g, ForallR):
-            return False
-        stack.extend(children(g))
+        while True:
+            kind = type(g)
+            if kind is And or kind is Or:
+                push(g.right)
+                g = g.left
+            elif kind is Atom or kind is NegAtom:
+                break
+            elif kind is ForallR:
+                return False
+            else:
+                g = g.body
     return True
 
 

@@ -28,6 +28,9 @@ __all__ = [
     "is_bisimilar",
     "unravel",
     "enumerate_root_restrictions",
+    "graph_nodes",
+    "unravel_node",
+    "node_restrictions",
     "model_from_dict",
     "model_to_dict",
     "pointed_from_dict",
@@ -213,8 +216,70 @@ def is_bisimilar(a, b):
     return (a.point, b.point) in _greatest_fixpoint(a.model, b.model, forth=True)
 
 
-def _path_id(indices):
-    return ".".join(str(i) for i in indices)
+# --- node form ---------------------------------------------------------------
+#
+# A node is a pair (label, successors), successors a sequence of nodes.
+# graph_nodes turns a model into nodes labelled by valuation; unravel_node
+# turns any node into a tree of nodes, and node_restrictions enumerates a
+# tree's root-keeping restrictions.  The oracle evaluates formulas on
+# nodes directly; unravel and enumerate_root_restrictions below wrap the
+# same two walks in KripkeModels.
+
+
+def graph_nodes(m):
+    """{state: node} for the states of m, each labelled by its valuation.
+    Successor lists follow m.successors and may form cycles."""
+    nodes = {s: (m.valuation[s], []) for s in m.states}
+    for s, (_, succ) in nodes.items():
+        succ.extend(nodes[t] for t in m._succ[s])
+    return nodes
+
+
+def unravel_node(node, depth, memo):
+    """The tree of paths of length at most depth from node, in node form.
+
+    memo maps (id(n), d) to the tree already built for n at depth d, so a
+    node reached along several paths is unravelled once, and those paths
+    share one subtree object.  The caller keeps the source nodes alive
+    for as long as it keeps memo."""
+    key = (id(node), depth)
+    if key not in memo:
+        stack = [(node, depth, False)]
+        while stack:
+            n, d, ready = stack.pop()
+            k = (id(n), d)
+            if k in memo:
+                continue
+            label, succ = n
+            if d <= 0 or not succ:
+                memo[k] = (label, ())
+            elif ready:
+                memo[k] = (label, tuple(memo[id(c), d - 1] for c in succ))
+            else:
+                stack.append((n, d, True))
+                stack.extend((c, d - 1, False) for c in succ)
+    return memo[key]
+
+
+def node_restrictions(tree):
+    """Yield every restriction of a node-form tree that keeps the root.
+
+    A restriction keeps, for each kept node, any subset of its children,
+    each restricted in turn; labels are unchanged.  A node with subtrees
+    T1..Tk has prod(1 + count(Ti)) restrictions."""
+    label, kids = tree
+
+    def go(i):
+        if i == len(kids):
+            yield ()
+            return
+        for rest in go(i + 1):
+            yield rest
+            for sub in node_restrictions(kids[i]):
+                yield (sub,) + rest
+
+    for kept in go(0):
+        yield (label, kept)
 
 
 def unravel(a, depth):
@@ -224,23 +289,20 @@ def unravel(a, depth):
     first successor, "0.1" its second successor, ...), each carrying the
     valuation of the path's endpoint.
     """
-    m = a.model
+    tree = unravel_node(graph_nodes(a.model)[a.point], depth, {})
     states = []
     transitions = []
     valuation = {}
-    frontier = [((), a.point)]
-    while frontier:
-        path, s = frontier.pop(0)
-        pid = _path_id(path)
+    stack = [("", tree)]
+    while stack:
+        pid, (label, kids) = stack.pop()
         states.append(pid)
-        valuation[pid] = m.valuation[s]
-        if len(path) >= depth:
-            continue
-        for j, t in enumerate(m.successors(s)):
-            child = path + (j,)
-            transitions.append((pid, _path_id(child)))
-            frontier.append((child, t))
-    return PointedModel(KripkeModel(states, transitions, valuation), _path_id(()))
+        valuation[pid] = label
+        for j, kid in enumerate(kids):
+            cid = f"{pid}.{j}" if pid else str(j)
+            transitions.append((pid, cid))
+            stack.append((cid, kid))
+    return PointedModel(KripkeModel(states, transitions, valuation), "")
 
 
 def _tree_children(t):
@@ -274,29 +336,24 @@ def enumerate_root_restrictions(t):
 
     A restriction keeps a set of edges closed under ancestors (dropping
     an edge drops the whole subtree below it); valuations are unchanged.
-    A node with subtrees T1..Tk has prod(1 + count(Ti)) restrictions.
+    The walk is node_restrictions over t labelled by state names.
     """
     children = _tree_children(t)
     m = t.model
 
-    def edge_sets(u):
-        kids = children[u]
+    def node(s):
+        return (s, tuple(node(u) for u in children[s]))
 
-        def go(i):
-            if i == len(kids):
-                yield ()
-                return
-            for rest in go(i + 1):
-                yield rest
-                for sub in edge_sets(kids[i]):
-                    yield ((u, kids[i]),) + sub + rest
-
-        yield from go(0)
-
-    for edges in edge_sets(t.point):
-        kept = {t.point}
-        for s, u in edges:
-            kept.add(u)
+    for tree in node_restrictions(node(t.point)):
+        kept = []
+        edges = []
+        stack = [tree]
+        while stack:
+            s, kids = stack.pop()
+            kept.append(s)
+            for kid in kids:
+                edges.append((s, kid[0]))
+                stack.append(kid)
         sub = KripkeModel(kept, edges, {s: m.valuation[s] for s in kept})
         yield PointedModel(sub, t.point)
 

@@ -24,9 +24,21 @@ which subformulas hold at a node, and a node's profile is determined by
 its valuation together with which diamond bodies some child witnesses
 and which box bodies some child violates.  Quantifier-containing
 subproblems walk the space literally, smallest candidates first.
+
+Each public call does its per-formula work once.  One fragment check
+runs at the entry point.  A per-call table holds, for each quantified
+body, its modal depth and (when it has no Er) its compiled profile
+space, shared by every candidate, state and restriction of the call.
+Models, unravellings, restrictions and candidate trees are all walked in
+the node form of kripke, (label, successors), so no KripkeModel is built
+along the way.  A time_budget in seconds is checked once per candidate
+tree, once per restriction and once per profile fixpoint level; past it,
+as past the candidate and restriction caps, the call raises
+ResourceLimit.
 """
 
 from itertools import combinations
+from time import perf_counter
 
 from .errors import ResourceLimit
 from .formula import (
@@ -47,12 +59,7 @@ from .formula import (
     metrics,
     render,
 )
-from .kripke import (
-    KripkeModel,
-    PointedModel,
-    enumerate_root_restrictions,
-    unravel,
-)
+from .kripke import graph_nodes, node_restrictions, unravel_node
 
 __all__ = ["oracle_eval", "oracle_sat", "DEFAULT_CANDIDATE_CAP"]
 
@@ -83,15 +90,39 @@ class _ProfileSpace:
     A profile is an int whose bit i says whether closure formula i holds
     at a node.  Modal bits are derived from a summary pair (wit, vio):
     wit marks diamond formulas some chosen child witnesses, vio marks
-    box formulas some chosen child violates.
+    box formulas some chosen child violates.  Literal bits depend only on
+    the valuation; the and/or bits are then set by ops, a list of
+    (is_and, bit, mask of the two children) in closure order.
     """
 
     def __init__(self, f):
-        self.order = _closure_order(f)
-        self.index = {g: i for i, g in enumerate(self.order)}
-        self.goal = self.index[f]
-        self.dia = [(i, self.index[g.body]) for i, g in enumerate(self.order) if isinstance(g, Diamond)]
-        self.box = [(i, self.index[g.body]) for i, g in enumerate(self.order) if isinstance(g, Box)]
+        order = _closure_order(f)
+        self.bit = bit = {g: 1 << i for i, g in enumerate(order)}
+        self.goal = bit[f]
+        self.pos = []
+        self.neg = []
+        self.dia = []
+        self.box = []
+        self.ops = []
+        self.dia_mask = 0
+        self.box_mask = 0
+        for g in order:
+            kind = type(g)
+            if kind is Atom:
+                self.pos.append((g.name, bit[g]))
+            elif kind is NegAtom:
+                self.neg.append((g.name, bit[g]))
+            elif kind is And or kind is Or:
+                self.ops.append((kind is And, bit[g], bit[g.left] | bit[g.right]))
+            elif kind is Diamond:
+                self.dia.append((bit[g], bit[g.body]))
+                self.dia_mask |= bit[g]
+            elif kind is Box:
+                self.box.append((bit[g], bit[g.body]))
+                self.box_mask |= bit[g]
+            else:
+                raise FragmentViolation(f"cannot evaluate {render(g)} in a profile")
+        self._literals = {}
         self._deltas = {}
 
     def delta(self, profile):
@@ -99,36 +130,31 @@ class _ProfileSpace:
         got = self._deltas.get(profile)
         if got is None:
             wit = 0
-            for i, j in self.dia:
-                if profile >> j & 1:
-                    wit |= 1 << i
+            for b, body in self.dia:
+                if profile & body:
+                    wit |= b
             vio = 0
-            for i, j in self.box:
-                if not profile >> j & 1:
-                    vio |= 1 << i
+            for b, body in self.box:
+                if not profile & body:
+                    vio |= b
             got = self._deltas[profile] = (wit, vio)
         return got
 
     def profile(self, valuation, wit, vio):
-        bits = 0
-        idx = self.index
-        for i, g in enumerate(self.order):
-            if isinstance(g, Atom):
-                b = g.name in valuation
-            elif isinstance(g, NegAtom):
-                b = g.name not in valuation
-            elif isinstance(g, And):
-                b = (bits >> idx[g.left] & 1) and (bits >> idx[g.right] & 1)
-            elif isinstance(g, Or):
-                b = (bits >> idx[g.left] & 1) or (bits >> idx[g.right] & 1)
-            elif isinstance(g, Diamond):
-                b = wit >> i & 1
-            elif isinstance(g, Box):
-                b = not (vio >> i & 1)
-            else:
-                raise FragmentViolation(f"quantifier in profile space: {render(g)}")
-            if b:
-                bits |= 1 << i
+        bits = self._literals.get(valuation)
+        if bits is None:
+            bits = 0
+            for name, b in self.pos:
+                if name in valuation:
+                    bits |= b
+            for name, b in self.neg:
+                if name not in valuation:
+                    bits |= b
+            self._literals[valuation] = bits
+        bits |= (wit & self.dia_mask) | (self.box_mask & ~vio)
+        for is_and, b, mask in self.ops:
+            if (bits & mask == mask) if is_and else (bits & mask):
+                bits |= b
         return bits
 
     def summaries(self, child_profile_sets):
@@ -154,85 +180,122 @@ class _ProfileSpace:
         return out
 
 
-def _restriction_satisfiable(tree, psi):
-    """Does some root-keeping restriction of the tree satisfy psi?
+def _restriction_satisfiable(tree, space):
+    """Does some root-keeping restriction of the node-form tree satisfy
+    the quantifier-free formula of space?
 
-    psi must be quantifier-free.  Equivalent to enumerating every
-    restriction and evaluating, folded into one bottom-up pass: each
-    node's achievable profiles arise from its valuation and an
-    independent drop-or-restrict choice per child.
+    Equivalent to enumerating every restriction and evaluating, folded
+    into one bottom-up pass: each node's achievable profiles arise from
+    its valuation and an independent drop-or-restrict choice per child.
+    A subtree shared by several parents is visited once, and its one
+    profile set lets summaries skip the repeats.
     """
-    space = _ProfileSpace(psi)
-    m = tree.model
-    kids = {s: [] for s in m.states}
-    for s, t in sorted(m.transitions):
-        kids[s].append(t)
-
     achievable = {}
 
-    def visit(u):
-        for c in kids[u]:
-            visit(c)
-        summaries = space.summaries([achievable[c] for c in kids[u]])
-        achievable[u] = {space.profile(m.valuation[u], w, v) for w, v in summaries}
+    def visit(node):
+        got = achievable.get(id(node))
+        if got is None:
+            valuation, kids = node
+            summaries = space.summaries([visit(k) for k in kids])
+            got = achievable[id(node)] = {space.profile(valuation, w, v) for w, v in summaries}
+        return got
 
-    visit(tree.point)
-    goal = space.goal
-    return any(p >> goal & 1 for p in achievable[tree.point])
+    return any(p & space.goal for p in visit(tree))
+
+
+class _Call:
+    """What one public oracle call shares across every model, candidate
+    tree and restriction it visits: the facts per quantified body, the
+    restriction cap and the deadline."""
+
+    def __init__(self, restriction_cap, time_budget):
+        self.cap = restriction_cap
+        self.budget = time_budget
+        self.deadline = None if time_budget is None else perf_counter() + time_budget
+        self.bodies = {}
+
+    def tick(self):
+        if self.deadline is not None and perf_counter() > self.deadline:
+            raise ResourceLimit(f"time budget exhausted in the oracle ({self.budget} s)")
+
+    def body(self, psi):
+        """(d_diamond(psi), the _ProfileSpace of psi or None when psi
+        contains Er), computed once per call."""
+        got = self.bodies.get(psi)
+        if got is None:
+            space = None if contains_exists(psi) else _ProfileSpace(psi)
+            got = self.bodies[psi] = (metrics(psi).d_diamond, space)
+        return got
 
 
 class _Eval:
-    def __init__(self, model, restriction_cap):
-        self.model = model
-        self.cap = restriction_cap
-        self.memo = {}
+    """Truth of formulas at the nodes of one model or tree in node form
+    (see kripke), memoised per node and formula.  The memos are keyed by
+    node identity, so an _Eval lives no longer than the nodes it saw."""
 
-    def eval(self, s, f):
-        key = (s, f)
+    def __init__(self, call):
+        self.call = call
+        self.memo = {}
+        self.trees = {}
+
+    def eval(self, node, f):
+        key = (id(node), f)
         got = self.memo.get(key)
         if got is None:
-            got = self.memo[key] = self._eval(s, f)
+            got = self.memo[key] = self._eval(node, f)
         return got
 
-    def _eval(self, s, f):
-        if isinstance(f, Atom):
-            return f.name in self.model.valuation[s]
-        if isinstance(f, NegAtom):
-            return f.name not in self.model.valuation[s]
-        if isinstance(f, And):
-            return self.eval(s, f.left) and self.eval(s, f.right)
-        if isinstance(f, Or):
-            return self.eval(s, f.left) or self.eval(s, f.right)
-        if isinstance(f, Diamond):
-            return any(self.eval(t, f.body) for t in self.model.successors(s))
-        if isinstance(f, Box):
-            return all(self.eval(t, f.body) for t in self.model.successors(s))
-        if isinstance(f, ExistsR):
-            return self._exists(s, f.body)
+    def _eval(self, node, f):
+        kind = type(f)
+        if kind is Atom:
+            return f.name in node[0]
+        if kind is NegAtom:
+            return f.name not in node[0]
+        if kind is And:
+            return self.eval(node, f.left) and self.eval(node, f.right)
+        if kind is Or:
+            return self.eval(node, f.left) or self.eval(node, f.right)
+        if kind is Diamond:
+            return any(self.eval(k, f.body) for k in node[1])
+        if kind is Box:
+            return all(self.eval(k, f.body) for k in node[1])
+        if kind is ExistsR:
+            return self._exists(node, f.body)
         raise FragmentViolation(f"cannot evaluate {render(f)}")
 
-    def _exists(self, s, psi):
-        depth = metrics(psi).d_diamond
-        tree = unravel(PointedModel(self.model, s), depth)
-        if not contains_exists(psi):
-            return _restriction_satisfiable(tree, psi)
+    def _exists(self, node, psi):
+        call = self.call
+        depth, space = call.body(psi)
+        tree = unravel_node(node, depth, self.trees)
+        if space is not None:
+            return _restriction_satisfiable(tree, space)
         count = 0
-        for candidate in enumerate_root_restrictions(tree):
+        for candidate in node_restrictions(tree):
             count += 1
-            if count > self.cap:
+            if count > call.cap:
                 raise ResourceLimit(
-                    f"more than {self.cap} restrictions while evaluating Er {render(psi)}"
+                    f"more than {call.cap} restrictions while evaluating Er {render(psi)}"
                 )
-            if oracle_eval(candidate, psi, restriction_cap=self.cap):
+            call.tick()
+            if _Eval(call).eval(candidate, psi):
                 return True
         return False
 
 
-def oracle_eval(a, f, restriction_cap=_EVAL_RESTRICTION_CAP):
-    """Truth of f at the pointed model a under the brute-force semantics."""
+def _check_fragment(f):
     if isinstance(f, Not) or not in_existential_fragment(f):
         raise FragmentViolation(f"not in the existential fragment: {render(f)}")
-    return _Eval(a.model, restriction_cap).eval(a.point, f)
+
+
+def oracle_eval(a, f, restriction_cap=_EVAL_RESTRICTION_CAP, time_budget=None):
+    """Truth of f at the pointed model a under the brute-force semantics.
+
+    Raises ResourceLimit past restriction_cap restrictions for one Er, or
+    once time_budget seconds have passed (checked once per restriction).
+    """
+    _check_fragment(f)
+    node = graph_nodes(a.model)[a.point]
+    return _Eval(_Call(restriction_cap, time_budget)).eval(node, f)
 
 
 # --- bounded-tree satisfiability ---------------------------------------------
@@ -288,31 +351,14 @@ def _kid_tuples(total, maxparts, depth, vals, branching, min_size, min_idx):
                 yield (t,) + rest
 
 
-def _tree_to_model(tree):
-    states = []
-    transitions = []
-    valuation = {}
-
-    def walk(node, path):
-        pid = ".".join(str(i) for i in path)
-        states.append(pid)
-        valuation[pid] = node[0]
-        for j, child in enumerate(node[1]):
-            cpath = path + (j,)
-            transitions.append((pid, ".".join(str(i) for i in cpath)))
-            walk(child, cpath)
-
-    walk(tree, ())
-    return PointedModel(KripkeModel(states, transitions, valuation), "")
-
-
-def _profile_sat(f, depth, branching, atom_names):
+def _profile_sat(f, depth, branching, atom_names, call):
     """Bounded-class satisfiability for quantifier-free f: iterate the set
     of achievable node profiles level by level up to the depth bound."""
     space = _ProfileSpace(f)
     vals = _valuations(atom_names)
     level = {space.profile(v, 0, 0) for v in vals}
     for _ in range(depth):
+        call.tick()
         summaries = space.summaries([level] * branching)
         nxt = set(level)
         for v in vals:
@@ -321,26 +367,27 @@ def _profile_sat(f, depth, branching, atom_names):
         if nxt == level:
             break
         level = nxt
-    goal = space.goal
-    return any(p >> goal & 1 for p in level)
+    return any(p & space.goal for p in level)
 
 
-def oracle_sat(f, max_candidates=DEFAULT_CANDIDATE_CAP):
+def oracle_sat(f, max_candidates=DEFAULT_CANDIDATE_CAP, time_budget=None):
     """Bounded-model satisfiability: true iff some tree over atoms(f) with
     depth at most d_diamond(f) and per-node branching at most the number
     of diamonds in f satisfies f.
 
     Quantifier-containing formulas walk the candidate trees smallest
     first and raise ResourceLimit past max_candidates; quantifier-free
-    formulas are decided by the equivalent profile fixpoint.
+    formulas are decided by the equivalent profile fixpoint.  Past
+    time_budget seconds (checked once per candidate, per restriction and
+    per fixpoint level) it raises ResourceLimit too.
     """
-    if not in_existential_fragment(f):
-        raise FragmentViolation(f"not in the existential fragment: {render(f)}")
+    _check_fragment(f)
+    call = _Call(_EVAL_RESTRICTION_CAP, time_budget)
     names = atoms(f)
     depth = metrics(f).d_diamond
     branching = count_diamonds(f)
     if not contains_exists(f):
-        return _profile_sat(f, depth, branching, names)
+        return _profile_sat(f, depth, branching, names, call)
     vals = _valuations(names)
     max_nodes = _tree_counts(depth, branching)
     count = 0
@@ -351,6 +398,7 @@ def oracle_sat(f, max_candidates=DEFAULT_CANDIDATE_CAP):
                 raise ResourceLimit(
                     f"more than {max_candidates} candidate models for {render(f)}"
                 )
-            if oracle_eval(_tree_to_model(tree), f):
+            call.tick()
+            if _Eval(call).eval(tree, f):
                 return True
     return False

@@ -10,6 +10,7 @@ import pytest
 
 from rmlsat import cli, solver
 from rmlsat.cli import main
+from rmlsat.errors import ResourceLimit
 from rmlsat.kripke import pointed_from_dict, verify_refinement_mapping
 from rmlsat.tableau import ModelChain
 
@@ -59,6 +60,20 @@ class TestSat:
         fpath.write_text("p | !p\n")
         code, out, _ = run(["sat", "@" + str(fpath)])
         assert code == 0 and out == "SAT\n"
+
+    @pytest.mark.parametrize("command", ["sat", "check", "oracle-sat"])
+    def test_formula_file_not_utf8_exit_two(self, tmp_path, command):
+        fpath = tmp_path / "f.txt"
+        fpath.write_bytes(b"\xff\xfe p")
+        formula = "@" + str(fpath)
+        if command == "check":
+            argv = ["check", "--model", write_model(tmp_path, point="s"), "--formula", formula]
+        else:
+            argv = [command, formula]
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read formula file: ")
+        assert "Traceback" not in err
 
     def test_parse_error_exit_two(self):
         code, _, err = run(["sat", "p &"])
@@ -117,6 +132,25 @@ def cnf_core(names):
     )
 
 
+def within_ten_seconds(fn):
+    """fn() under a SIGALRM guard, so a budget that never fires fails the
+    test instead of hanging it."""
+
+    def hung(signum, frame):
+        raise AssertionError("time budget did not fire within 10 s")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        start = time.monotonic()
+        result = fn()
+        assert time.monotonic() - start < 2.0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    return result
+
+
 class TestBudgets:
     # Er <>(core) takes three activations: the root, its quantifier child
     # and that child's diamond child, where the 2,401 or-backtracks happen
@@ -145,19 +179,7 @@ class TestBudgets:
         else:
             model = write_model(tmp_path, point="s")
             argv = ["check", "--model", model, "--formula", cnf_core("abcde")]
-
-        def hung(signum, frame):
-            raise AssertionError("time budget did not fire within 10 s")
-
-        old = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(10)
-        try:
-            start = time.monotonic()
-            code, out, err = run(argv + ["--time-budget", "0.2"])
-            assert time.monotonic() - start < 2.0
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, old)
+        code, out, err = within_ten_seconds(lambda: run(argv + ["--time-budget", "0.2"]))
         assert (code, out) == (3, "")
         assert err.startswith("resource limit: time budget exhausted")
 
@@ -223,6 +245,37 @@ class TestOracle:
         )
         assert run(["oracle-check", "--model", mpath, "Er <> p"])[:2] == (1, "FALSE\n")
 
+    @pytest.mark.parametrize("command", ["oracle-sat", "oracle-check"])
+    def test_time_budget_exhausted_exit_three(self, tmp_path, command):
+        # without a budget, oracle-sat runs past 30 s on the first, and
+        # oracle-check takes about half a minute to hit its restriction cap
+        if command == "oracle-sat":
+            argv = ["oracle-sat", "<><><>Er <>(!p & p)"]
+        else:
+            model = write_model(
+                tmp_path,
+                states=["a", "b", "c"],
+                transitions=[[x, y] for x in "abc" for y in "abc"],
+                valuation={"a": ["p"]},
+                point="a",
+            )
+            argv = ["oracle-check", "--model", model, "Er (Er p & <><><><>(p & !p))"]
+        code, out, err = within_ten_seconds(lambda: run(argv + ["--time-budget", "0.2"]))
+        assert (code, out) == (3, "")
+        assert err.startswith("resource limit: time budget exhausted")
+
+    @pytest.mark.parametrize("command", ["oracle-sat", "oracle-check", "fuzz"])
+    @pytest.mark.parametrize("budget", ["0", "-1.5", "nan"])
+    def test_non_positive_time_budget_exit_two(self, tmp_path, command, budget):
+        argv = {
+            "oracle-sat": ["oracle-sat", "p"],
+            "oracle-check": ["oracle-check", "--model", write_model(tmp_path, point="s"), "p"],
+            "fuzz": ["fuzz", "--size", "2", "--count", "3"],
+        }[command]
+        code, out, err = run(argv + ["--time-budget", budget])
+        assert (code, out) == (2, "")
+        assert err == "error: --time-budget must be positive\n"
+
 
 class TestFuzz:
     def test_exhaustive_no_divergence(self):
@@ -259,6 +312,30 @@ class TestFuzz:
         code, out, err = run(["fuzz"] + argv)
         assert (code, out) == (2, "")
         assert "error: --" in err
+
+    def test_time_budget_reaches_solver_and_oracle(self, monkeypatch):
+        seen = []
+        real_sat, real_oracle_sat = cli.solver.sat, cli.oracle.oracle_sat
+
+        def sat(f, opts=None):
+            seen.append(("sat", opts.time_budget))
+            return real_sat(f, opts)
+
+        def oracle_sat(f, time_budget=None):
+            seen.append(("oracle", time_budget))
+            if time_budget is not None:
+                raise ResourceLimit("time budget exhausted in the oracle")
+            return real_oracle_sat(f)
+
+        monkeypatch.setattr(cli.solver, "sat", sat)
+        monkeypatch.setattr(cli.oracle, "oracle_sat", oracle_sat)
+        argv = ["fuzz", "--size", "3", "--count", "4", "--seed", "1"]
+        assert run(argv)[:2] == (0, "checked 4 formulas: 0 divergences\n")
+        assert set(seen) == {("sat", None), ("oracle", None)}
+        seen.clear()
+        code, out, _ = run(argv + ["--time-budget", "0.5"])
+        assert (code, out) == (3, "checked 4 formulas: 0 divergences (4 resource-limited)\n")
+        assert set(seen) == {("sat", 0.5), ("oracle", 0.5)}
 
     @pytest.mark.parametrize("jobs", ["0", "-2", "100000"])
     def test_jobs_out_of_range_exit_two(self, monkeypatch, jobs):

@@ -15,6 +15,7 @@ from rmlsat.formula import (
     Or,
     ParseError,
     atoms,
+    children,
     in_existential_fragment,
     metrics,
     normalize,
@@ -150,6 +151,45 @@ class TestFragment:
         assert in_existential_fragment(parse("Er <> p"))
         assert not in_existential_fragment(parse("Ar p"))
         assert in_existential_fragment(parse("p & !p"))
+
+    def test_agrees_with_children_walk(self):
+        def reference(f):
+            return not isinstance(f, ForallR) and all(reference(c) for c in children(f))
+
+        def swap(f, which):
+            """f with its Er nodes whose preorder number is in which made Ar."""
+            count = [0]
+
+            def go(g):
+                kind = type(g)
+                if kind in (Atom, NegAtom):
+                    return g
+                if kind in (And, Or):
+                    return kind(go(g.left), go(g.right))
+                if kind is ExistsR:
+                    count[0] += 1
+                    return (ForallR if count[0] - 1 in which else ExistsR)(go(g.body))
+                return kind(go(g.body))
+
+            return go(f)
+
+        n = 0
+        for f in gen.enumerate_formulas(6, ("p", "q")):
+            variants = [f, Not(f), And(f, Not(ForallR(P)))]
+            if "Er" in render(f):
+                variants += [swap(f, {0}), swap(f, {1}), swap(f, {0, 1})]
+            for g in variants:
+                assert in_existential_fragment(g) == reference(g), render(g)
+                n += 1
+        assert n > 80000
+
+    def test_deeply_nested_forall(self):
+        f = ForallR(P)
+        for i in range(50):
+            f = [Diamond, Box, ExistsR, Not][i % 4](f) if i % 3 else And(Q, f)
+        assert not in_existential_fragment(f)
+        assert not in_existential_fragment(Or(f, P))
+        assert in_existential_fragment(Or(P, ExistsR(Q)))
 
 
 class TestSubformulas:

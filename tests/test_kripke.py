@@ -10,14 +10,17 @@ from rmlsat.kripke import (
     RefinementRelation,
     StateNotFound,
     enumerate_root_restrictions,
+    graph_nodes,
     greatest_refinement,
     is_bisimilar,
     load_model,
     model_from_dict,
     model_to_dict,
     pointed_from_dict,
+    node_restrictions,
     to_dot,
     unravel,
+    unravel_node,
     verify_refinement_mapping,
 )
 
@@ -152,6 +155,25 @@ class TestUnravel:
         assert len(t.model.transitions) == 2
 
 
+    def test_deep_loop(self):
+        loop = PointedModel(KripkeModel(["s"], [("s", "s")], {}), "s")
+        t = unravel(loop, 3000)
+        assert len(t.model.states) == 3001
+
+    def test_node_form_shares_subtrees(self):
+        full = KripkeModel(["a", "b"], [(x, y) for x in "ab" for y in "ab"], {"a": ["p"]})
+        nodes = graph_nodes(full)
+        memo = {}
+        tree = unravel_node(nodes["a"], 3, memo)
+        assert tree[0] == frozenset(["p"])
+        # one tree per (state, depth left) reached: the root, then 2 x 3
+        assert len(memo) == 7
+        left, right = tree[1]
+        assert left[1][0] is right[1][0]
+        assert unravel_node(nodes["a"], 3, memo) is tree
+        assert len(unravel(PointedModel(full, "a"), 3).model.states) == 1 + 2 + 4 + 8
+
+
 class TestRootRestrictions:
     def test_counts(self):
         root_only = PointedModel(single(), "s")
@@ -189,6 +211,20 @@ class TestRootRestrictions:
                 expected.add(frozenset(keep))
         got = {r.model.transitions for r in enumerate_root_restrictions(t)}
         assert got == expected
+
+    def test_node_restrictions_count_and_order(self):
+        leaf = ("l", ())
+        tree = ("r", (("a", (leaf,)), ("b", ())))
+        got = list(node_restrictions(tree))
+        # (1 + 2) * (1 + 1) restrictions; the first child varies fastest
+        assert got == [
+            ("r", ()),
+            ("r", (("a", ()),)),
+            ("r", (("a", (leaf,)),)),
+            ("r", (("b", ()),)),
+            ("r", (("a", ()), ("b", ()))),
+            ("r", (("a", (leaf,)), ("b", ()))),
+        ]
 
     def test_every_restriction_refines_the_tree(self):
         m = KripkeModel(

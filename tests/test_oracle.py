@@ -1,15 +1,33 @@
+import ast
 import random
+import signal
+import time
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 import kref
 import modelgen
-from rmlsat import gen
+from rmlsat import gen, oracle
 from rmlsat.errors import ResourceLimit
-from rmlsat.formula import FragmentViolation, metrics, parse, render
+from rmlsat.formula import (
+    And,
+    Atom,
+    Box,
+    Diamond,
+    ExistsR,
+    FragmentViolation,
+    NegAtom,
+    Not,
+    Or,
+    metrics,
+    parse,
+    render,
+)
 from rmlsat.kripke import KripkeModel, PointedModel, greatest_refinement, unravel
 from rmlsat.modelcheck import check
-from rmlsat.oracle import oracle_eval, oracle_sat
+from rmlsat.oracle import _ProfileSpace, oracle_eval, oracle_sat
 
 
 def pm(states, transitions, valuation, point):
@@ -101,6 +119,131 @@ class TestSat:
     def test_forall_rejected(self):
         with pytest.raises(FragmentViolation):
             oracle_sat(parse("Ar p"))
+
+
+def truth(g, valuation, wit, vio, bit):
+    """Plain recursive reading of one profile bit: what _ProfileSpace
+    computes with its compiled operations."""
+    kind = type(g)
+    if kind is Atom:
+        return g.name in valuation
+    if kind is NegAtom:
+        return g.name not in valuation
+    if kind is And:
+        return truth(g.left, valuation, wit, vio, bit) and truth(g.right, valuation, wit, vio, bit)
+    if kind is Or:
+        return truth(g.left, valuation, wit, vio, bit) or truth(g.right, valuation, wit, vio, bit)
+    if kind is Diamond:
+        return bool(wit & bit[g])
+    assert kind is Box
+    return not vio & bit[g]
+
+
+class TestProfileSpace:
+    def test_profile_and_delta_agree_with_recursive_reading(self):
+        rng = random.Random(6)
+        vals = [frozenset(c) for r in range(3) for c in combinations("pq", r)]
+        n = 0
+        for f in gen.enumerate_formulas(5, ("p", "q"), include_exists=False):
+            space = _ProfileSpace(f)
+            width = len(space.bit)
+            for v in vals:
+                for wit, vio in [(0, 0)] + [
+                    (rng.getrandbits(width), rng.getrandbits(width)) for _ in range(4)
+                ]:
+                    want = sum(b for g, b in space.bit.items() if truth(g, v, wit, vio, space.bit))
+                    got = space.profile(v, wit, vio)
+                    assert got == want, (render(f), v, wit, vio)
+                    n += 1
+                    dw = sum(b for g, b in space.bit.items()
+                             if type(g) is Diamond and got & space.bit[g.body])
+                    dv = sum(b for g, b in space.bit.items()
+                             if type(g) is Box and not got & space.bit[g.body])
+                    assert space.delta(got) == (dw, dv)
+        assert n > 30000
+
+    def test_one_space_per_distinct_body(self, monkeypatch):
+        built = []
+
+        class Counting(_ProfileSpace):
+            def __init__(self, f):
+                built.append(f)
+                super().__init__(f)
+
+        monkeypatch.setattr(oracle, "_ProfileSpace", Counting)
+        # unsatisfiable, so every candidate tree is walked
+        assert not oracle_sat(parse("Er <>p & (Er <>q | Er <>p) & [](p & !p)"))
+        assert sorted(map(render, built)) == ["<>p", "<>q"]
+        built.clear()
+        full = pm(["a", "b", "c"], [(x, y) for x in "abc" for y in "abc"], {"a": ["p"]}, "a")
+        assert oracle_eval(full, parse("[][]Er <>p & <>Er (Er <>p & []p)"))
+        assert sorted(map(render, built)) == ["<>p"]
+
+    def test_nested_not_rejected(self):
+        # each Not is reached: a profile space compiles every closure
+        # formula, and evaluation gets past each conjunct before it
+        a = pm(["s", "t"], [("s", "t")], {"s": ["p"], "t": ["p"]}, "s")
+        for f in [
+            And(Atom("p"), Not(Atom("q"))),
+            Diamond(Not(Atom("p"))),
+            ExistsR(Or(Diamond(Atom("p")), Not(Atom("q")))),
+            ExistsR(And(ExistsR(Atom("p")), Diamond(Not(Atom("q"))))),
+        ]:
+            with pytest.raises(FragmentViolation):
+                oracle_sat(f)
+            with pytest.raises(FragmentViolation):
+                oracle_eval(a, f)
+
+
+def test_time_budget():
+    """Without a budget, the first runs past 30 s and the second takes
+    about half a minute to hit the restriction cap; with 0.2 s both
+    raise ResourceLimit."""
+    full = pm(["a", "b", "c"], [(x, y) for x in "abc" for y in "abc"], {"a": ["p"]}, "a")
+    cases = [
+        lambda: oracle_sat(parse("<><><>Er <>(!p & p)"), time_budget=0.2),
+        lambda: oracle_eval(full, parse("Er (Er p & <><><><>(p & !p))"), time_budget=0.2),
+    ]
+
+    def hung(signum, frame):
+        raise AssertionError("time budget did not fire within 10 s")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        for case in cases:
+            start = time.monotonic()
+            with pytest.raises(ResourceLimit, match="time budget exhausted"):
+                case()
+            assert time.monotonic() - start < 2.0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_independent_of_the_decision_procedures():
+    """The oracle, and every rmlsat module it imports, imports nothing
+    from solver, tableau or modelcheck."""
+    src = Path(oracle.__file__).parent
+    seen = set()
+    todo = ["oracle"]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    todo.append(node.module.split(".")[0])
+                else:
+                    todo.extend(alias.name for alias in node.names)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                mods = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+                assert not any(m and m.startswith("rmlsat") for m in mods), (name, mods)
+    assert "oracle" in seen and "kripke" in seen
+    assert not seen & {"solver", "tableau", "modelcheck"}, seen
 
 
 class TestKnownDivergence:
