@@ -22,6 +22,13 @@ There are no constants for truth/falsity; use ``p | !p`` and ``p & !p``.
 :func:`parse_general` additionally allows ``!`` in front of any
 subformula, producing :class:`Not` nodes; :func:`normalize` pushes such
 negations down to the atoms.
+
+The nine node classes sit on three arity bases, ``_Leaf(name)``,
+``_Unary(body)`` and ``_Binary(left, right)``, which own construction,
+hashing and equality; a node class adds only its hash tag and its
+rendered operator.  The parser is one operator-precedence loop with an
+explicit operator stack, and every walker here is a loop, so formulas
+of any depth parse, compare, render and normalize without recursion.
 """
 
 import re
@@ -41,158 +48,144 @@ class ParseError(Exception):
 
 
 class FragmentViolation(Exception):
-    """A universal refinement quantifier where only the existential fragment is allowed."""
+    """A universal refinement quantifier or a general negation where only the
+    existential fragment is allowed."""
 
 
 class Formula:
-    """Base class for formula nodes.  Instances are immutable and hashable."""
+    """Base class for formula nodes.  Instances are immutable and hashable.
+
+    Equality is structural.  It walks both trees with an explicit stack,
+    so comparing deep formulas does not recurse; it stops at the first
+    pair of nodes that differ in type or hash and skips shared subtrees.
+    """
 
     __slots__ = ("_hash",)
 
     def __hash__(self):
         return self._hash
 
+    def __eq__(self, other):
+        stack = []
+        a, b = self, other
+        while True:
+            if a is not b:
+                if type(a) is not type(b) or a._hash != b._hash:
+                    return False
+                if isinstance(a, _Binary):
+                    stack.append((a.right, b.right))
+                    a, b = a.left, b.left
+                    continue
+                if isinstance(a, _Unary):
+                    a, b = a.body, b.body
+                    continue
+                if a.name != b.name:
+                    return False
+            if not stack:
+                return True
+            a, b = stack.pop()
+
     def __repr__(self):
         return f"{type(self).__name__}<{render(self)}>"
 
 
-class Atom(Formula):
+class _Leaf(Formula):
+    """An atom or a negated atom.  ``_op`` is the rendered prefix."""
+
     __slots__ = ("name",)
 
     def __init__(self, name):
         if not _ATOM_RE.fullmatch(name):
             raise ValueError(f"bad atom name: {name!r}")
         self.name = name
-        self._hash = hash(("at", name))
+        self._hash = hash((self._tag, name))
 
     def __eq__(self, other):
-        return type(other) is Atom and other.name == self.name
+        return type(other) is type(self) and other.name == self.name
 
     __hash__ = Formula.__hash__
 
 
-class NegAtom(Formula):
-    __slots__ = ("name",)
+class _Unary(Formula):
+    """A prefix operator applied to ``body``.  ``_op`` is the rendered prefix."""
 
-    def __init__(self, name):
-        if not _ATOM_RE.fullmatch(name):
-            raise ValueError(f"bad atom name: {name!r}")
-        self.name = name
-        self._hash = hash(("neg", name))
+    __slots__ = ("body",)
 
-    def __eq__(self, other):
-        return type(other) is NegAtom and other.name == self.name
-
-    __hash__ = Formula.__hash__
+    def __init__(self, body):
+        self.body = body
+        self._hash = hash((self._tag, body._hash))
 
 
-class And(Formula):
+class _Binary(Formula):
+    """An infix connective.  ``_op`` is the rendered infix, spaces included."""
+
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
-        self._hash = hash(("and", left._hash, right._hash))
-
-    def __eq__(self, other):
-        return type(other) is And and other.left == self.left and other.right == self.right
-
-    __hash__ = Formula.__hash__
+        self._hash = hash((self._tag, left._hash, right._hash))
 
 
-class Or(Formula):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-        self._hash = hash(("or", left._hash, right._hash))
-
-    def __eq__(self, other):
-        return type(other) is Or and other.left == self.left and other.right == self.right
-
-    __hash__ = Formula.__hash__
+class Atom(_Leaf):
+    __slots__ = ()
+    _tag, _op = "at", ""
 
 
-class Diamond(Formula):
-    __slots__ = ("body",)
-
-    def __init__(self, body):
-        self.body = body
-        self._hash = hash(("dia", body._hash))
-
-    def __eq__(self, other):
-        return type(other) is Diamond and other.body == self.body
-
-    __hash__ = Formula.__hash__
+class NegAtom(_Leaf):
+    __slots__ = ()
+    _tag, _op = "neg", "!"
 
 
-class Box(Formula):
-    __slots__ = ("body",)
-
-    def __init__(self, body):
-        self.body = body
-        self._hash = hash(("box", body._hash))
-
-    def __eq__(self, other):
-        return type(other) is Box and other.body == self.body
-
-    __hash__ = Formula.__hash__
+class And(_Binary):
+    __slots__ = ()
+    _tag, _op = "and", " & "
 
 
-class ExistsR(Formula):
-    __slots__ = ("body",)
-
-    def __init__(self, body):
-        self.body = body
-        self._hash = hash(("exr", body._hash))
-
-    def __eq__(self, other):
-        return type(other) is ExistsR and other.body == self.body
-
-    __hash__ = Formula.__hash__
+class Or(_Binary):
+    __slots__ = ()
+    _tag, _op = "or", " | "
 
 
-class ForallR(Formula):
-    __slots__ = ("body",)
-
-    def __init__(self, body):
-        self.body = body
-        self._hash = hash(("far", body._hash))
-
-    def __eq__(self, other):
-        return type(other) is ForallR and other.body == self.body
-
-    __hash__ = Formula.__hash__
+class Diamond(_Unary):
+    __slots__ = ()
+    _tag, _op = "dia", "<>"
 
 
-class Not(Formula):
+class Box(_Unary):
+    __slots__ = ()
+    _tag, _op = "box", "[]"
+
+
+class ExistsR(_Unary):
+    __slots__ = ()
+    _tag, _op = "exr", "Er "
+
+
+class ForallR(_Unary):
+    __slots__ = ()
+    _tag, _op = "far", "Ar "
+
+
+class Not(_Unary):
     """General negation node.  Only produced by :func:`parse_general` or by
     hand; :func:`normalize` eliminates it."""
 
-    __slots__ = ("body",)
-
-    def __init__(self, body):
-        self.body = body
-        self._hash = hash(("not", body._hash))
-
-    def __eq__(self, other):
-        return type(other) is Not and other.body == self.body
-
-    __hash__ = Formula.__hash__
+    __slots__ = ()
+    _tag, _op = "not", "!"
 
 
 def children(f):
     """Immediate subformulas of f, left to right."""
-    if isinstance(f, (Atom, NegAtom)):
+    if isinstance(f, _Leaf):
         return ()
-    if isinstance(f, (And, Or)):
+    if isinstance(f, _Binary):
         return (f.left, f.right)
     return (f.body,)
 
 
 def is_literal(f):
-    return isinstance(f, (Atom, NegAtom))
+    return isinstance(f, _Leaf)
 
 
 def render(f):
@@ -202,26 +195,31 @@ def render(f):
     :class:`Not` nodes render as ``!...`` for display but do not
     round-trip through :func:`parse`.
     """
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, NegAtom):
-        return "!" + f.name
-    if isinstance(f, And):
-        return f"({render(f.left)} & {render(f.right)})"
-    if isinstance(f, Or):
-        return f"({render(f.left)} | {render(f.right)})"
-    if isinstance(f, Diamond):
-        return "<>" + render(f.body)
-    if isinstance(f, Box):
-        return "[]" + render(f.body)
-    if isinstance(f, ExistsR):
-        return "Er " + render(f.body)
-    if isinstance(f, ForallR):
-        return "Ar " + render(f.body)
-    if isinstance(f, Not):
-        body = render(f.body)
-        return "!" + (body if isinstance(f.body, Atom) else "(" + body + ")")
-    raise TypeError(f"not a formula: {f!r}")
+    out = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is str:
+            out.append(g)
+            continue
+        # walk down the left spine, leaving each binary's infix, right
+        # operand and ")" on the stack
+        kind = type(g)
+        while kind is not Atom and kind is not NegAtom:
+            if kind is And or kind is Or:
+                out.append("(")
+                stack += (")", g.right, g._op)
+                g = g.left
+            else:
+                if kind is Not and type(g.body) is not Atom:
+                    out.append("!(")
+                    stack.append(")")
+                else:
+                    out.append(g._op)
+                g = g.body
+            kind = type(g)
+        out.append(g._op + g.name)
+    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -233,23 +231,29 @@ class DepthMetrics:
 
 
 def metrics(f):
-    if isinstance(f, (Atom, NegAtom)):
-        return DepthMetrics(0, 0)
-    if isinstance(f, (And, Or)):
-        l, r = metrics(f.left), metrics(f.right)
-        return DepthMetrics(max(l.d_diamond, r.d_diamond), max(l.d_exists, r.d_exists))
-    m = metrics(f.body)
-    if isinstance(f, (Diamond, Box)):
-        return DepthMetrics(m.d_diamond + 1, m.d_exists)
-    if isinstance(f, ExistsR):
-        return DepthMetrics(m.d_diamond, m.d_exists + 1)
-    # ForallR and Not pass through: neither is a diamond or an Er.
-    return m
+    d_diamond = d_exists = 0
+    stack = [(f, 0, 0)]
+    while stack:
+        g, d, e = stack.pop()
+        kind = type(g)
+        if kind is And or kind is Or:
+            stack += ((g.right, d, e), (g.left, d, e))
+        elif kind is Atom or kind is NegAtom:
+            d_diamond, d_exists = max(d_diamond, d), max(d_exists, e)
+        else:
+            # ForallR and Not pass through: neither is a diamond or an Er.
+            stack.append((g.body, d + (kind is Diamond or kind is Box), e + (kind is ExistsR)))
+    return DepthMetrics(d_diamond, d_exists)
 
 
 def size(f):
     """Node count."""
-    return 1 + sum(size(c) for c in children(f))
+    n = 0
+    stack = [f]
+    while stack:
+        n += 1
+        stack.extend(children(stack.pop()))
+    return n
 
 
 def subformulas(f):
@@ -277,8 +281,8 @@ def atoms(f):
     return tuple(sorted(names))
 
 
-def in_existential_fragment(f):
-    """True iff no universal refinement quantifier occurs in f."""
+def _first_of(f, kinds):
+    """The first node of f, in preorder, whose type is in kinds, or None."""
     stack = [f]
     push = stack.append
     while stack:
@@ -290,11 +294,25 @@ def in_existential_fragment(f):
                 g = g.left
             elif kind is Atom or kind is NegAtom:
                 break
-            elif kind is ForallR:
-                return False
+            elif kind in kinds:
+                return g
             else:
                 g = g.body
-    return True
+    return None
+
+
+def in_existential_fragment(f):
+    """True iff no universal refinement quantifier occurs in f."""
+    return _first_of(f, (ForallR,)) is None
+
+
+def check_fragment(f):
+    """The gate of every decision procedure: raise :class:`FragmentViolation`
+    unless f is a grammar formula of the existential fragment, that is,
+    has no ``Ar`` and no general :class:`Not` anywhere."""
+    g = _first_of(f, (ForallR, Not))
+    if g is not None:
+        raise FragmentViolation(f"{render(g)} is outside the existential fragment: {render(f)}")
 
 
 def count_diamonds(f):
@@ -310,13 +328,11 @@ def count_diamonds(f):
 
 
 def contains_exists(f):
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, ExistsR):
-            return True
-        stack.extend(children(g))
-    return False
+    return _first_of(f, (ExistsR,)) is not None
+
+
+_DUAL = {Atom: NegAtom, And: Or, Diamond: Box, ExistsR: ForallR}
+_DUAL.update({dual: kind for kind, dual in _DUAL.items()})
 
 
 def normalize(g, require_existential=True):
@@ -327,33 +343,33 @@ def normalize(g, require_existential=True):
     Raises :class:`FragmentViolation` if the result would contain a
     universal quantifier while require_existential is set.
     """
-
-    def push(f, neg):
-        if isinstance(f, Atom):
-            return NegAtom(f.name) if neg else f
-        if isinstance(f, NegAtom):
-            return Atom(f.name) if neg else f
-        if isinstance(f, Not):
-            return push(f.body, not neg)
-        if isinstance(f, And):
-            if neg:
-                return Or(push(f.left, True), push(f.right, True))
-            return And(push(f.left, False), push(f.right, False))
-        if isinstance(f, Or):
-            if neg:
-                return And(push(f.left, True), push(f.right, True))
-            return Or(push(f.left, False), push(f.right, False))
-        if isinstance(f, Diamond):
-            return Box(push(f.body, True)) if neg else Diamond(push(f.body, False))
-        if isinstance(f, Box):
-            return Diamond(push(f.body, True)) if neg else Box(push(f.body, False))
-        if isinstance(f, ExistsR):
-            return ForallR(push(f.body, True)) if neg else ExistsR(push(f.body, False))
-        if isinstance(f, ForallR):
-            return ExistsR(push(f.body, True)) if neg else ForallR(push(f.body, False))
-        raise TypeError(f"not a formula: {f!r}")
-
-    result = push(g, False)
+    # Entries are (node, negated) to visit, or (class, None) to build a
+    # node of that class from the last one or two results.
+    out = []
+    stack = [(g, False)]
+    while stack:
+        f, neg = stack.pop()
+        if neg is None:
+            if issubclass(f, _Binary):
+                right = out.pop()
+                out[-1] = f(out[-1], right)
+            else:
+                out[-1] = f(out[-1])
+            continue
+        kind = type(f)
+        if kind is Not:
+            stack.append((f.body, not neg))
+            continue
+        if kind not in _DUAL:
+            raise TypeError(f"not a formula: {f!r}")
+        cls = _DUAL[kind] if neg else kind
+        if isinstance(f, _Leaf):
+            out.append(cls(f.name) if neg else f)
+        elif isinstance(f, _Binary):
+            stack += ((cls, None), (f.right, neg), (f.left, neg))
+        else:
+            stack += ((cls, None), (f.body, neg))
+    result = out[0]
     if require_existential and not in_existential_fragment(result):
         raise FragmentViolation(
             f"normalizing {render(g)} yields a universal quantifier: {render(result)}"
@@ -409,89 +425,73 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text, general):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.general = general
+_PREFIX = {"dia": Diamond, "box": Box, "er": ExistsR, "ar": ForallR, "bang": Not}
+_PREFIX_OPS = frozenset(_PREFIX.values())
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def formula(self):
-        f = self.or_()
-        kind, value, offset = self.peek()
-        if kind != "eof":
-            raise ParseError(f"unexpected {value!r}", offset, ("&", "|", "end of input"))
-        return f
-
-    def or_(self):
-        f = self.and_()
-        while self.peek()[0] == "pipe":
-            self.advance()
-            f = Or(f, self.and_())
-        return f
-
-    def and_(self):
-        f = self.unary()
-        while self.peek()[0] == "amp":
-            self.advance()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self):
-        kind, value, offset = self.peek()
-        if kind == "bang":
-            self.advance()
-            if self.general:
-                return Not(self.unary())
-            kind2, value2, offset2 = self.peek()
-            if kind2 != "atom":
-                raise ParseError("negation applies only to atoms", offset2, ("atom",))
-            self.advance()
-            return NegAtom(value2)
-        if kind == "dia":
-            self.advance()
-            return Diamond(self.unary())
-        if kind == "box":
-            self.advance()
-            return Box(self.unary())
-        if kind == "er":
-            self.advance()
-            return ExistsR(self.unary())
-        if kind == "ar":
-            self.advance()
-            return ForallR(self.unary())
-        if kind == "atom":
-            self.advance()
-            return Atom(value)
+def _parse(text, general):
+    """One operator-precedence loop over the tokens.  ``ops`` holds the
+    pending prefix operators, connectives and None for each open "(";
+    ``args`` holds the left operands of the pending connectives."""
+    tokens = _tokenize(text)
+    ops, args = [], []
+    i = 0
+    while True:
+        # operand position: prefix operators and "(" until an atom
+        kind, value, offset = tokens[i]
+        i += 1
+        if kind in _PREFIX and (general or kind != "bang"):
+            ops.append(_PREFIX[kind])
+            continue
         if kind == "lp":
-            self.advance()
-            f = self.or_()
-            kind2, value2, offset2 = self.peek()
-            if kind2 != "rp":
-                raise ParseError("unbalanced parenthesis", offset2, (")",))
-            self.advance()
-            return f
-        raise ParseError(
-            "expected a formula" if kind == "eof" else f"unexpected {value!r}",
-            offset,
-            _UNARY_EXPECTED,
-        )
+            ops.append(None)
+            continue
+        if kind == "atom":
+            f = Atom(value)
+        elif kind == "bang":
+            kind, value, offset = tokens[i]
+            if kind != "atom":
+                raise ParseError("negation applies only to atoms", offset, ("atom",))
+            i += 1
+            f = NegAtom(value)
+        else:
+            raise ParseError(
+                "expected a formula" if kind == "eof" else f"unexpected {value!r}",
+                offset,
+                _UNARY_EXPECTED,
+            )
+        # operator position: apply the pending prefixes, then read "&", "|",
+        # ")" or the end; "&" binds tighter than "|", both associate left
+        while True:
+            while ops and ops[-1] in _PREFIX_OPS:
+                f = ops.pop()(f)
+            kind, value, offset = tokens[i]
+            i += 1
+            if kind == "amp" or kind == "pipe":
+                op = And if kind == "amp" else Or
+                while ops and (ops[-1] is And or ops[-1] is op):
+                    f = ops.pop()(args.pop(), f)
+                args.append(f)
+                ops.append(op)
+                break
+            while ops and ops[-1] is not None:
+                f = ops.pop()(args.pop(), f)
+            if not ops:
+                if kind != "eof":
+                    raise ParseError(f"unexpected {value!r}", offset, ("&", "|", "end of input"))
+                return f
+            if kind != "rp":
+                raise ParseError("unbalanced parenthesis", offset, (")",))
+            ops.pop()
 
 
 def parse(text):
     """Parse the grammar above.  Universal quantifiers parse; use
-    :func:`in_existential_fragment` to reject them."""
-    return _Parser(text, general=False).formula()
+    :func:`check_fragment` to reject them."""
+    return _parse(text, general=False)
 
 
 def parse_general(text):
     """Like :func:`parse` but ``!`` may negate any subformula, yielding
     :class:`Not` nodes.  Feed the result to :func:`normalize`."""
-    return _Parser(text, general=True).formula()
+    return _parse(text, general=True)

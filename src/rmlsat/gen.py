@@ -48,12 +48,6 @@ def enumerate_formulas(max_size, atom_names, include_exists=True):
         yield from formulas_of_size(n, atom_names, include_exists)
 
 
-def count_formulas(max_size, atom_names, include_exists=True):
-    return sum(
-        len(formulas_of_size(n, atom_names, include_exists)) for n in range(1, max_size + 1)
-    )
-
-
 def random_formula(rng, size, atom_names, include_exists=True):
     """One uniformly-shaped random formula with exactly `size` nodes.
 

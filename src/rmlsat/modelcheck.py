@@ -40,13 +40,12 @@ from .formula import (
     Diamond,
     ExistsR,
     Formula,
-    FragmentViolation,
     NegAtom,
     Or,
     ParseError,
     _tokenize,
+    check_fragment,
     children,
-    in_existential_fragment,
     parse,
     render,
 )
@@ -122,13 +121,12 @@ class _CheckEngine(_Engine):
 def check(a, f, opts=None):
     """True iff f holds at the pointed model a.
 
-    Raises FragmentViolation on universal quantifiers and ResourceLimit
+    Raises FragmentViolation outside the existential fragment and ResourceLimit
     when the options' budgets run out.
     """
-    if not in_existential_fragment(f):
-        raise FragmentViolation(f"universal quantifier in {render(f)}")
+    check_fragment(f)
     engine = _CheckEngine(opts or SolverOptions(), a)
-    return engine.solve([((1,), (1,), f)], (1,), (1,), frozenset()) is not None
+    return engine.solve([((1,), (1,), f)], (1,), frozenset()) is not None
 
 
 # --- the hardness instance ----------------------------------------------------

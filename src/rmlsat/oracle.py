@@ -49,13 +49,12 @@ from .formula import (
     ExistsR,
     FragmentViolation,
     NegAtom,
-    Not,
     Or,
     atoms,
+    check_fragment,
     children,
     contains_exists,
     count_diamonds,
-    in_existential_fragment,
     metrics,
     render,
 )
@@ -71,16 +70,15 @@ def _closure_order(f):
     """Subformulas of f, children strictly before parents."""
     order = []
     seen = set()
-
-    def walk(g):
-        if g in seen:
-            return
-        seen.add(g)
-        for c in children(g):
-            walk(c)
-        order.append(g)
-
-    walk(f)
+    stack = [(f, False)]
+    while stack:
+        g, done = stack.pop()
+        if done:
+            order.append(g)
+        elif g not in seen:
+            seen.add(g)
+            stack.append((g, True))
+            stack.extend((c, False) for c in reversed(children(g)))
     return order
 
 
@@ -282,18 +280,13 @@ class _Eval:
         return False
 
 
-def _check_fragment(f):
-    if isinstance(f, Not) or not in_existential_fragment(f):
-        raise FragmentViolation(f"not in the existential fragment: {render(f)}")
-
-
 def oracle_eval(a, f, restriction_cap=_EVAL_RESTRICTION_CAP, time_budget=None):
     """Truth of f at the pointed model a under the brute-force semantics.
 
     Raises ResourceLimit past restriction_cap restrictions for one Er, or
     once time_budget seconds have passed (checked once per restriction).
     """
-    _check_fragment(f)
+    check_fragment(f)
     node = graph_nodes(a.model)[a.point]
     return _Eval(_Call(restriction_cap, time_budget)).eval(node, f)
 
@@ -381,7 +374,7 @@ def oracle_sat(f, max_candidates=DEFAULT_CANDIDATE_CAP, time_budget=None):
     time_budget seconds (checked once per candidate, per restriction and
     per fixpoint level) it raises ResourceLimit too.
     """
-    _check_fragment(f)
+    check_fragment(f)
     call = _Call(_EVAL_RESTRICTION_CAP, time_budget)
     names = atoms(f)
     depth = metrics(f).d_diamond

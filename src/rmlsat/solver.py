@@ -52,10 +52,9 @@ from .formula import (
     Box,
     Diamond,
     ExistsR,
-    FragmentViolation,
     NegAtom,
     Or,
-    in_existential_fragment,
+    check_fragment,
     is_literal,
     render,
 )
@@ -152,11 +151,10 @@ class SearchStats:
 
 @dataclass
 class SearchState:
-    """One activation's input: the triples P, the current prefixes, the
-    processed marks and the fresh-index counter."""
+    """One activation's input: the triples P, the current state prefix,
+    the processed marks and the fresh-index counter."""
 
     entries: tuple
-    mu: tuple = (1,)
     sigma: tuple = (1,)
     marks: frozenset = frozenset()
     counter: int = 1
@@ -268,9 +266,10 @@ class _Engine:
 
     # -- the procedure ----------------------------------------------------------
 
-    def solve(self, root_entries, mu, sigma, marks):
+    def solve(self, root_entries, sigma, marks):
         """First accepted completion: (final P, produced triples) or None.
-        mu goes unused: every entry carries its own model prefix."""
+        Every entry carries its own model prefix, so only the state prefix
+        is passed."""
         return self._first(root_entries, frozenset(marks), sigma, 1, self._initial_ctx())
 
     def _first(self, entries, M, sigma, depth, ctx):
@@ -486,13 +485,12 @@ def sat(f, opts=None):
     Every SAT verdict is first checked to rest on a complete, clash-free
     branch (tableau.Clash / tableau.NotComplete otherwise).
 
-    Raises FragmentViolation for universal quantifiers and ResourceLimit
+    Raises FragmentViolation outside the existential fragment and ResourceLimit
     when a budget runs out (never silently reported as unsatisfiable).
     """
-    if not in_existential_fragment(f):
-        raise FragmentViolation(f"universal quantifier in {render(f)}")
+    check_fragment(f)
     engine = _Engine(opts)
-    got = engine.solve([((1,), (1,), f)], (1,), (1,), frozenset())
+    got = engine.solve([((1,), (1,), f)], (1,), frozenset())
     trace = tuple(engine.trace or ())
     if got is None:
         return SatResult(False, stats=engine.stats, trace=trace)
@@ -511,7 +509,7 @@ def run_activation(state, opts=None):
     """
     engine = _Engine(opts)
     engine.counter = state.counter
-    got = engine.solve(list(state.entries), state.mu, state.sigma, frozenset(state.marks))
+    got = engine.solve(list(state.entries), state.sigma, frozenset(state.marks))
     if got is None:
         raise ClashFailure(engine.last_clash or ((1,), (1,), "?"))
     final_P, _ = got

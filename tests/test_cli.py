@@ -113,6 +113,18 @@ class TestSat:
             code, _, _ = run(["sat", "<>" * depth + "p"])
             assert code in (0, 3, 4)
 
+    def test_deeply_parenthesized_atom(self, tmp_path):
+        fpath = tmp_path / "f.txt"
+        fpath.write_text("(" * 10_000 + "p" + ")" * 10_000)
+        assert run(["sat", "@" + str(fpath)]) == (0, "SAT\n", "")
+
+    def test_deep_right_nested_conjunction(self, tmp_path):
+        n = 3000
+        text = "".join(f"(x_{i} & " for i in range(n - 1)) + f"x_{n - 1}" + ")" * (n - 1)
+        wpath = tmp_path / "w.json"
+        assert run(["sat", text, "--witness", str(wpath)]) == (0, "SAT\n", "")
+        assert json.loads(wpath.read_text())["formula"] == text
+
     def test_internal_error_exit_four(self, monkeypatch):
         def crash(*args, **kwargs):
             raise RuntimeError("boom")

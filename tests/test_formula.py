@@ -25,8 +25,28 @@ from rmlsat.formula import (
     size,
     subformulas,
 )
+from rmlsat.kripke import KripkeModel, PointedModel
+from rmlsat.modelcheck import check
+from rmlsat.oracle import oracle_eval, oracle_sat
+from rmlsat.solver import sat
 
 P, Q = Atom("p"), Atom("q")
+AT_P = PointedModel(KripkeModel(["s"], [], {"s": ["p"]}), "s")
+DEEP = 10_000
+
+
+def deep_formula(n, base=P):
+    """n operators over base, cycling through <>, [], Er, q & _ and _ | !q."""
+    f = base
+    for i in range(n):
+        k = i % 5
+        if k == 3:
+            f = And(Q, f)
+        elif k == 4:
+            f = Or(f, NegAtom("q"))
+        else:
+            f = (Diamond, Box, ExistsR)[k](f)
+    return f
 
 
 class TestParse:
@@ -191,6 +211,31 @@ class TestFragment:
         assert not in_existential_fragment(Or(f, P))
         assert in_existential_fragment(Or(P, ExistsR(Q)))
 
+    @pytest.mark.parametrize(
+        "decide",
+        [
+            sat,
+            lambda f: check(AT_P, f),
+            lambda f: oracle_eval(AT_P, f),
+            oracle_sat,
+        ],
+        ids=["sat", "check", "oracle_eval", "oracle_sat"],
+    )
+    @pytest.mark.parametrize(
+        "f",
+        [
+            Not(P),
+            And(P, Not(P)),
+            And(Q, Not(P)),
+            Diamond(Or(Q, Not(ExistsR(P)))),
+            Or(P, ExistsR(ForallR(Q))),
+        ],
+        ids=render,
+    )
+    def test_decision_procedures_reject_not_and_forall(self, decide, f):
+        with pytest.raises(FragmentViolation):
+            decide(f)
+
 
 class TestSubformulas:
     def test_examples(self):
@@ -206,3 +251,37 @@ class TestSubformulas:
 def test_atoms():
     assert atoms(parse("q & !p")) == ("p", "q")
     assert atoms(parse("Er <> x1")) == ("x1",)
+
+
+class TestDeepInput:
+    @pytest.mark.parametrize(
+        "text, want_size",
+        [
+            ("(" * DEEP + "p" + ")" * DEEP, 1),
+            ("<>" * DEEP + "p", DEEP + 1),
+            ("[]" * DEEP + "p", DEEP + 1),
+            ("Er " * DEEP + "p", DEEP + 1),
+            ("p & (" * DEEP + "q" + ")" * DEEP, 2 * DEEP + 1),
+            ("p | (" * DEEP + "q" + ")" * DEEP, 2 * DEEP + 1),
+        ],
+        ids=["parens", "diamond", "box", "er", "and", "or"],
+    )
+    def test_parse(self, text, want_size):
+        f = parse(text)
+        assert size(f) == want_size
+        assert parse(render(f)) == f
+
+    def test_parse_general_negations(self):
+        f = parse_general("!(" * DEEP + "p" + ")" * DEEP)
+        assert size(f) == DEEP + 1
+        assert normalize(f) == P
+
+    def test_walkers(self):
+        f, g = deep_formula(DEEP), deep_formula(DEEP)
+        assert f is not g and f == g and not f != g
+        assert f != deep_formula(DEEP, Q)
+        assert size(f) == 1 + 3 * DEEP // 5 + 2 * (2 * DEEP // 5)
+        assert metrics(f) == DepthMetrics(2 * DEEP // 5, DEEP // 5)
+        assert parse(render(f)) == f
+        assert normalize(f) == f
+        assert normalize(Not(Not(f))) == f
