@@ -76,10 +76,28 @@ class _CheckEngine(_Engine):
     def _initial_ctx(self):
         return {(1,): self.u}
 
-    def _literal_ok(self, entry, ctx):
-        _, sigma, f = entry
-        val = self.m.valuation[ctx[sigma]]
-        return f.name in val if isinstance(f, Atom) else f.name not in val
+    def _add(self, P, order, adds, ctx):
+        """The engine's _add, but a new literal entry must hold at the state
+        its prefix is pinned to: False, after the reject, if it does not."""
+        st = self.stats
+        valuation = self.m.valuation
+        for a in adds:
+            if a in P:
+                continue
+            f = a[2]
+            t = type(f)
+            if (t is Atom or t is NegAtom) and (f.name in valuation[ctx[a[1]]]) != (t is Atom):
+                self._reject_literal(a)
+                return False
+            P[a] = len(order)
+            order.append(a)
+            if len(a[0]) > st.max_model_prefix_len:
+                st.max_model_prefix_len = len(a[0])
+            if len(a[1]) > st.max_state_prefix_len:
+                st.max_state_prefix_len = len(a[1])
+        if len(P) > st.max_p_size:
+            st.max_p_size = len(P)
+        return True
 
     def _dia_contexts(self, sigma, sigma_i, ctx):
         return [{**ctx, sigma_i: a} for a in self.m.successors(ctx[sigma])]
@@ -138,33 +156,44 @@ _LOWER_ATOM = "z"
 
 
 def _validate_const(t):
-    if (
-        not isinstance(t, tuple)
-        or not t
-        or t[0] not in _CONST_ARITY
-        or len(t) != _CONST_ARITY[t[0]] + 1
-    ):
-        raise InvalidInput(f"not a variable-free constant formula: {t!r}")
-    for sub in t[1:]:
-        _validate_const(sub)
+    todo = [t]
+    while todo:
+        u = todo.pop()
+        if (
+            not isinstance(u, tuple)
+            or not u
+            or u[0] not in _CONST_ARITY
+            or len(u) != _CONST_ARITY[u[0]] + 1
+        ):
+            raise InvalidInput(f"not a variable-free constant formula: {u!r}")
+        todo.extend(reversed(u[1:]))
+
+
+_LOWER_NODES = {"dia": Diamond, "box": Box, "and": And, "or": Or}
 
 
 def lower_const(t):
     """Constant-grammar formula to a plain formula over the reserved atom:
     top becomes (z | !z), bot becomes (z & !z)."""
     _validate_const(t)
-    tag = t[0]
-    if tag == "top":
-        return Or(Atom(_LOWER_ATOM), NegAtom(_LOWER_ATOM))
-    if tag == "bot":
-        return And(Atom(_LOWER_ATOM), NegAtom(_LOWER_ATOM))
-    if tag == "dia":
-        return Diamond(lower_const(t[1]))
-    if tag == "box":
-        return Box(lower_const(t[1]))
-    if tag == "and":
-        return And(lower_const(t[1]), lower_const(t[2]))
-    return Or(lower_const(t[1]), lower_const(t[2]))
+    # bottom-up: a tag on todo stands for its node, whose children are
+    # the last entries of done
+    done, todo = [], [t]
+    while todo:
+        u = todo.pop()
+        if type(u) is str:
+            k = _CONST_ARITY[u]
+            node = _LOWER_NODES[u](*done[-k:])
+            del done[-k:]
+            done.append(node)
+        elif u[0] == "top":
+            done.append(Or(Atom(_LOWER_ATOM), NegAtom(_LOWER_ATOM)))
+        elif u[0] == "bot":
+            done.append(And(Atom(_LOWER_ATOM), NegAtom(_LOWER_ATOM)))
+        else:
+            todo.append(u[0])
+            todo.extend(reversed(u[1:]))
+    return done[0]
 
 
 def reduce_k_sat(psi):
@@ -186,17 +215,22 @@ def reduce_k_sat(psi):
 
 def render_const(t):
     _validate_const(t)
-    tag = t[0]
-    if tag == "top":
-        return "top"
-    if tag == "bot":
-        return "bot"
-    if tag == "dia":
-        return "<>" + render_const(t[1])
-    if tag == "box":
-        return "[]" + render_const(t[1])
-    op = "&" if tag == "and" else "|"
-    return f"({render_const(t[1])} {op} {render_const(t[2])})"
+    out, todo = [], [t]
+    while todo:
+        u = todo.pop()
+        if type(u) is str:
+            out.append(u)
+            continue
+        tag = u[0]
+        if tag == "top" or tag == "bot":
+            out.append(tag)
+        elif tag == "dia" or tag == "box":
+            out.append("<>" if tag == "dia" else "[]")
+            todo.append(u[1])
+        else:
+            out.append("(")
+            todo += (")", u[2], " & " if tag == "and" else " | ", u[1])
+    return "".join(out)
 
 
 _CONST_TOKENS = {"dia", "box", "amp", "pipe", "lp", "rp", "eof"}
@@ -219,9 +253,21 @@ def parse_const(text):
 
 
 def _const_of(f):
-    if isinstance(f, Atom):
-        return (f.name,)
-    return (_CONST_TAGS[type(f)],) + tuple(_const_of(c) for c in children(f))
+    # bottom-up, as in lower_const: a tag on todo stands for its tuple
+    done, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        if type(g) is str:
+            k = _CONST_ARITY[g]
+            node = (g, *done[-k:])
+            del done[-k:]
+            done.append(node)
+        elif isinstance(g, Atom):
+            done.append((g.name,))
+        else:
+            todo.append(_CONST_TAGS[type(g)])
+            todo.extend(reversed(children(g)))
+    return done[0]
 
 
 _const_cache = {}

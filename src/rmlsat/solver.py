@@ -14,7 +14,11 @@ current prefixes and the processed marks M, an activation:
    in place, fills the buckets of diamonds, boxes and quantifiers, and
    records the first literal whose complement sits at an earlier
    position (the clash witness); each or is a chronological backtrack
-   point and the place the time budget is checked;
+   point and the place the time budget is checked.  The or choice
+   points sit on an explicit stack inside one saturation loop, so a
+   wide conjunction of disjunctions costs no stack depth.  A leaf with
+   no diamond, no box at sigma and no quantifier skips steps 2 and 3:
+   it goes straight to step 4;
 2. for each unprocessed diamond at model prefix nu, builds a child
    problem at a fresh successor prefix holding the diamond body plus
    every box body recorded at an ancestor prefix of nu, and runs it
@@ -39,7 +43,8 @@ clash-free branch; sat() checks that on every SAT verdict, and reads the
 witness models off it only when a caller asks for them.
 
 The model checker subclasses the engine: hook methods cover everything
-it needs to pin state prefixes to concrete model states.
+it needs to pin state prefixes to concrete model states, and its own
+_add rejects a literal that does not hold at its pinned state.
 """
 
 import time
@@ -82,16 +87,18 @@ __all__ = [
 _SATURATED = (And, Or, Atom, NegAtom)
 
 
-# Each literal's complement.  It is a pure function of an immutable
-# value, so one table serves every run in the process; it holds two
-# literals per atom name seen.  Building a literal validates its name
-# again (about 1 us), and every parse makes fresh literal objects, so a
-# table per run would rebuild them on every call.
+# Each literal's complement, keyed by the literal's (type, name).  It is
+# a pure function of immutable values, so one table serves every run in
+# the process; it holds two literals per atom name seen.  Building a
+# literal validates its name again (about 1 us), and every parse makes
+# fresh literal objects, so a table per run would rebuild them on every
+# call.  The key hashes and compares in C, with no call of
+# Formula.__hash__ or __eq__.
 _COMPLEMENTS = {}
 
 
-def _complement(f):
-    c = _COMPLEMENTS[f] = NegAtom(f.name) if type(f) is Atom else Atom(f.name)
+def _complement(t, name):
+    c = _COMPLEMENTS[t, name] = NegAtom(name) if t is Atom else Atom(name)
     return c
 
 
@@ -195,9 +202,6 @@ class _Engine:
     def _initial_ctx(self):
         return None
 
-    def _literal_ok(self, entry, ctx):
-        return True
-
     def _dia_contexts(self, sigma, sigma_i, ctx):
         """Contexts to try for a fresh successor prefix; one per admissible
         target state when states are being tracked."""
@@ -232,13 +236,6 @@ class _Engine:
                 f"REJECT ({render_prefix(mu)},{render_prefix(sigma)}) literal {render(f)}"
             )
 
-    def _note_entry(self, e):
-        st = self.stats
-        if len(e[0]) > st.max_model_prefix_len:
-            st.max_model_prefix_len = len(e[0])
-        if len(e[1]) > st.max_state_prefix_len:
-            st.max_state_prefix_len = len(e[1])
-
     def _fresh(self):
         i = self.counter
         self.counter += 1
@@ -246,18 +243,21 @@ class _Engine:
 
     def _add(self, P, order, adds, ctx):
         """Append the adds not yet in P to order and record their positions
-        in P, in place; False if a new literal entry is inadmissible."""
+        in P, in place.  True: satisfiability admits every literal; the
+        model checker's override returns False on one that is
+        inadmissible."""
+        st = self.stats
         for a in adds:
             if a in P:
                 continue
-            if is_literal(a[2]) and not self._literal_ok(a, ctx):
-                self._reject_literal(a)
-                return False
             P[a] = len(order)
             order.append(a)
-            self._note_entry(a)
-        if len(P) > self.stats.max_p_size:
-            self.stats.max_p_size = len(P)
+            if len(a[0]) > st.max_model_prefix_len:
+                st.max_model_prefix_len = len(a[0])
+            if len(a[1]) > st.max_state_prefix_len:
+                st.max_state_prefix_len = len(a[1])
+        if len(P) > st.max_p_size:
+            st.max_p_size = len(P)
         return True
 
     def _check_time(self):
@@ -306,77 +306,112 @@ class _Engine:
             st.max_depth = depth
         if len(P) > st.max_p_size:
             st.max_p_size = len(P)
-        return self._saturate((P, order, M, sigma, depth, [], [], []), 0, None, ctx)
+        return self._saturate((P, order, M, sigma, depth, [], [], []), ctx)
 
-    def _saturate(self, a, cursor, clash, ctx):
+    def _saturate(self, a, ctx):
         """Saturate under and/or/literal, then go on to the modal phases.
 
-        Every entry of order before the cursor has been passed once on
-        this branch: processed if it is an unmarked and/or/literal entry,
-        put into its bucket if it is a diamond, a box or a quantifier, and
-        checked against P for its complement if it is a literal.  clash is
-        the first literal whose complement sits at an earlier position, the
-        witness a scan of the final P in order would report; it is carried
-        down like the cursor and the activation rejects on it at the end.
-        And/literal steps extend P in place.  An or is a choice point: each
-        alternative extends P in place, and the next one starts from P and
-        the buckets truncated back to the choice point.  An entry counts as
+        One loop runs the saturation cursor.  Every entry of order before
+        the cursor has been passed once on this branch: processed if it is
+        an unmarked and/or/literal entry, put into its bucket if it is a
+        diamond, a box or a quantifier, and checked against P for its
+        complement if it is a literal.  clash is the first literal whose
+        complement sits at an earlier position, the witness a scan of the
+        final P in order would report; the activation rejects on it at the
+        end.  And/literal steps extend P in place.  An entry counts as
         marked once the cursor passes it, so M itself does not grow here:
         after saturation every and/or/literal entry of P is processed, and
-        the modal phases read M that way."""
-        P, order, M, sigma, _, dias, boxes, ns = a
-        n = len(order)
-        while True:
-            while cursor < n:
-                e = order[cursor]
-                f = e[2]
-                t = type(f)
-                if t is Atom or t is NegAtom:
-                    if clash is None:
-                        at = P.get((e[0], e[1], _COMPLEMENTS.get(f) or _complement(f)))
-                        if at is not None and at < cursor:
-                            clash = (e[0], e[1], f.name)
-                    if e not in M:
-                        break
-                elif t is And or t is Or:
-                    if e not in M:
-                        break
-                elif t is Diamond:
-                    if e not in M:
-                        dias.append(e)
-                elif t is Box:
-                    if e[1] == sigma:
-                        boxes.append(e)
-                elif t is ExistsR and e not in M:
-                    ns.append(e)
-                cursor += 1
-            else:
-                yield from self._post_saturation(a, ctx, clash, order)
-                return
-            cursor += 1
-            nu, sg, _ = e
-            if t is And:
-                adds = [(nu, sg, f.left), (nu, sg, f.right)]
-                self._emit("AND", e, adds)
-            elif t is Or:
-                break
-            else:
-                adds = [(nu[:k], sg, f) for k in range(len(nu) - 1, 0, -1)]
-                adds = [x for x in adds if x not in P]
-                if adds:
-                    self._emit("L", e, adds)
-            if not self._add(P, order, adds, ctx):
-                return
-            n = len(order)
+        the modal phases read M that way.
 
-        m, nd, nb, nn = len(order), len(dias), len(boxes), len(ns)
-        for side in (f.left, f.right):
-            _truncate(P, order, m)
-            del dias[nd:], boxes[nb:], ns[nn:]
-            self._check_time()
-            self._emit("OR", e, [(nu, sg, side)])
-            if self._add(P, order, [(nu, sg, side)], ctx):
-                yield from self._saturate(a, cursor, clash, ctx)
+        An or is a choice point on an explicit stack.  It holds the or
+        entry, the cursor and clash witness just past it, and the lengths
+        of order and the three buckets.  The left alternative extends P in
+        place.  When an alternative is rejected or its leaf is exhausted,
+        the innermost point is popped, P, order and the buckets are
+        truncated back to it, and its right alternative is taken, so
+        nothing recurses per alternative.  A leaf with no diamond, no box
+        at sigma and no quantifier has no modal phase to run: it rejects on
+        the clash witness or yields (P, order) right there."""
+        P, order, M, sigma, _, dias, boxes, ns = a
+        tracing = self.trace is not None
+        deadline = self.deadline
+        add = self._add
+        complements = _COMPLEMENTS
+        cursor, clash = 0, None
+        stack = []
+        while True:
+            n = len(order)
+            while True:
+                while cursor < n:
+                    e = order[cursor]
+                    f = e[2]
+                    t = type(f)
+                    if t is Atom or t is NegAtom:
+                        if clash is None:
+                            c = complements.get((t, f.name)) or _complement(t, f.name)
+                            at = P.get((e[0], e[1], c))
+                            if at is not None and at < cursor:
+                                clash = (e[0], e[1], f.name)
+                        # at model prefix 1 a literal step adds nothing
+                        if len(e[0]) > 1 and e not in M:
+                            break
+                    elif t is And or t is Or:
+                        if e not in M:
+                            break
+                    elif t is Diamond:
+                        if e not in M:
+                            dias.append(e)
+                    elif t is Box:
+                        if e[1] == sigma:
+                            boxes.append(e)
+                    elif t is ExistsR and e not in M:
+                        ns.append(e)
+                    cursor += 1
+                else:
+                    if dias or boxes or ns:
+                        yield from self._post_saturation(a, ctx, clash, order)
+                    elif clash is not None:
+                        self._reject_clash(clash)
+                    else:
+                        yield P, order
+                    break
+                cursor += 1
+                nu, sg, _ = e
+                if t is And:
+                    adds = ((nu, sg, f.left), (nu, sg, f.right))
+                    if tracing:
+                        self._emit("AND", e, adds)
+                elif t is Or:
+                    stack.append((e, cursor, clash, len(order), len(dias), len(boxes), len(ns)))
+                    if deadline is not None:
+                        self._check_time()
+                    adds = ((nu, sg, f.left),)
+                    if tracing:
+                        self._emit("OR", e, adds)
+                else:
+                    adds = [(nu[:k], sg, f) for k in range(len(nu) - 1, 0, -1)]
+                    adds = [x for x in adds if x not in P]
+                    if not adds:
+                        continue
+                    if tracing:
+                        self._emit("L", e, adds)
+                if not add(P, order, adds, ctx):
+                    break
+                n = len(order)
+            # take the right alternative of the innermost or choice point
+            while stack:
+                e, cursor, clash, m, nd, nb, nn = stack.pop()
+                _truncate(P, order, m)
+                del dias[nd:], boxes[nb:], ns[nn:]
+                if deadline is not None:
+                    self._check_time()
+                adds = ((e[0], e[1], e[2].right),)
+                if tracing:
+                    self._emit("OR", e, adds)
+                if add(P, order, adds, ctx):
+                    break
+            else:
+                return
 
     def _dia_phase(self, a, ctx, clash, contrib):
         """Give each diamond a child at a fresh successor prefix, then run

@@ -106,6 +106,11 @@ class TestSat:
         assert run(["sat", dias + " & []q"]) == (0, "SAT\n", "")
         assert run(["sat", dias + f" & []!x_{n - 7}"]) == (1, "UNSAT\n", "")
 
+    def test_wide_disjunction_conjunction(self, tmp_path):
+        fpath = tmp_path / "f.txt"
+        fpath.write_text(" & ".join(f"(a_{i} | b_{i})" for i in range(3000)))
+        assert run(["sat", "@" + str(fpath)]) == (0, "SAT\n", "")
+
     def test_deep_diamond_chain_never_unsat(self):
         # deep modal nesting may still exhaust the stack (exit 4), but it
         # must never read as a verdict of UNSAT
@@ -372,6 +377,11 @@ class TestReduceK:
     def test_rejects_atoms(self):
         code, _, err = run(["reduce-k", "[](z & !z)"])
         assert code == 2
+
+    def test_deep_nesting(self):
+        code, out, _ = run(["reduce-k", "<>" * 10_000 + "top"])
+        assert code == 0
+        assert json.loads(out)["formula"] == "Er " + "<>" * 10_000 + "(z | !z)"
 
 
 class TestExportDot:

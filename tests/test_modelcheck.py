@@ -126,3 +126,22 @@ class TestConstGrammar:
     def test_lowering(self):
         assert render(lower_const(("bot",))) == "(z & !z)"
         assert render(lower_const(("box", ("top",)))) == "[](z | !z)"
+
+    def test_deep_nesting(self):
+        # 10,000 nested operators; the tuples are read with a loop, since
+        # comparing them with == would recurse in C
+        depth = 10_000
+        text = "".join(("<>", "(bot | ", "[]", "(top & ")[i % 4] for i in range(depth))
+        text += "top" + ")" * (depth // 2)
+        psi = parse_const(text)
+        tags, u = [], psi
+        while len(u) > 1:
+            tags.append(u[0])
+            u = u[-1]
+        assert tags == ["dia", "or", "box", "and"] * (depth // 4)
+        assert u == ("top",)
+        assert render_const(psi) == text
+        lowered = text.replace("top", "(z | !z)").replace("bot", "(z & !z)")
+        assert render(lower_const(psi)) == lowered
+        pointed, f = reduce_k_sat(psi)
+        assert render(f) == "Er " + lowered

@@ -9,7 +9,8 @@ import kref
 from rmlsat import gen, solver
 from rmlsat.errors import ResourceLimit
 from rmlsat.formula import FragmentViolation, metrics, parse, render, size
-from rmlsat.kripke import PointedModel, verify_refinement_mapping
+from rmlsat.kripke import KripkeModel, PointedModel, verify_refinement_mapping
+from rmlsat.modelcheck import check
 from rmlsat.oracle import oracle_eval, oracle_sat
 from rmlsat.solver import (
     ClashFailure,
@@ -229,9 +230,13 @@ def diamond_conjunction(n):
     return " & ".join(f"<>x_{i}" for i in range(n))
 
 
+def clause_conjunction(n):
+    return " & ".join(f"(a_{i} | b_{i})" for i in range(n))
+
+
 class TestWideInputs:
-    """Saturation is a loop and the diamonds sit on an explicit stack, so a
-    wide conjunction costs no stack depth."""
+    """Saturation is a loop and the or and diamond choice points sit on
+    explicit stacks, so a wide conjunction costs no stack depth."""
 
     def test_wide_atom_conjunction_sat(self):
         res = sat(parse(atom_conjunction(3000)))
@@ -251,6 +256,25 @@ class TestWideInputs:
     @pytest.mark.parametrize("n", [1000, 3000])
     def test_wide_diamond_conjunction_refuted(self, n):
         assert not sat(parse(diamond_conjunction(n) + f" & []!x_{n - 7}")).satisfiable
+
+    @pytest.mark.parametrize("n", [1000, 3000])
+    def test_wide_disjunction_conjunction_sat(self, n):
+        # one or choice point per clause, all on the explicit stack
+        res = sat(parse(clause_conjunction(n)))
+        assert res.satisfiable
+        assert res.stats.activations == 1 and res.stats.backtracks == 0
+
+    @pytest.mark.parametrize(
+        "labels, want",
+        [
+            ([f"b_{i}" for i in range(3000)], True),
+            # the cursor reaches (a_0 | b_0) last, under 2,999 choice points
+            ([f"b_{i}" for i in range(1, 3000)], False),
+        ],
+    )
+    def test_wide_disjunction_conjunction_check(self, labels, want):
+        pointed = PointedModel(KripkeModel(["s"], [], {"s": labels}), "s")
+        assert check(pointed, parse(clause_conjunction(3000))) is want
 
 
 class TestTimeBudget:
