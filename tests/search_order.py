@@ -23,6 +23,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import modelgen  # noqa: E402
 from rmlsat import gen  # noqa: E402
 from rmlsat.formula import parse, render  # noqa: E402
+from rmlsat.kripke import KripkeModel, PointedModel  # noqa: E402
 from rmlsat.modelcheck import _CheckEngine  # noqa: E402
 from rmlsat.solver import SolverOptions, sat  # noqa: E402
 
@@ -66,6 +67,42 @@ def wide_instances():
     ]
 
 
+def star_model():
+    """A centre c with seven successors s0..s6; some leaves step on to
+    the next leaf or back to c.  Boxes at c fan out to seven BOX1 children
+    and every diamond at c has seven target states."""
+    leaves = [f"s{i}" for i in range(7)]
+    trans = [("c", s) for s in leaves]
+    trans += [(f"s{i}", f"s{(i + 1) % 7}") for i in range(0, 7, 2)]
+    trans += [(f"s{i}", "c") for i in range(0, 7, 3)]
+    valuation = {
+        "c": ["q"],
+        **{s: [a for a, on in (("p", i in (0, 1, 3, 5)), ("q", i in (0, 2, 3, 6))) if on]
+           for i, s in enumerate(leaves)},
+    }
+    return KripkeModel(["c", *leaves], trans, valuation)
+
+
+def star_instances():
+    """(point, formula text): BOX1 fan-out next to diamonds with several
+    target states, and quantifier merges under backtracking."""
+    formulas = [
+        "[](p | q) & <>p & <>q",
+        "[]Er <>(p & q) | <>[]!p",
+        "[]<>p & <>Er []q",
+        "<>p & <>q & <>!p & [](p | q | Er <>q)",
+        "Er (<>p & <>q) & [](q | <>p)",
+        "<>(p & Er []q) & <>(!p & <>p) & []Er <>p",
+        "Er []p & Er []q & <><>q",
+        "[][]p | <>(q & []!q) | [](!q | <>!p)",
+        "[](p | q | <>p) & <>(!p & !q) & <>(q & !p)",
+        "Er (q | p) & Er <>(!p & !q) & [](p | q | <>p)",
+        "[]Er (p | <>p | <>q) & <>(!p & q) & Er <>(p & q)",
+        "<>(q & Er <>(p | q)) & Er (<>(!q & <>p) & [](q | <>q))",
+    ]
+    return [(pt, text) for pt in ("c", "s0", "s3") for text in formulas]
+
+
 def _sat_record(h, f):
     r = sat(f, SolverOptions(trace=True))
     for line in r.trace:
@@ -102,6 +139,11 @@ def compute():
             _check_record(h, a, f)
     for n, h in sorted(hashes.items()):
         out[f"check_states_{n}"] = h.hexdigest()
+    h = hashlib.sha256()
+    m = star_model()
+    for pt, text in star_instances():
+        _check_record(h, PointedModel(m, pt), parse(text))
+    out["check_star"] = h.hexdigest()
     for name, text in wide_instances():
         h = hashlib.sha256()
         _sat_record(h, parse(text))
