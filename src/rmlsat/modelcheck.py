@@ -15,6 +15,14 @@ pinned to states of the checked model:
   right after saturation: its side condition only shrinks, so this
   cannot lose branches.
 
+The checker's engine overrides three engine hooks and _add: the
+initial context pins prefix 1, the target contexts of a fresh successor
+prefix are its state's successors, and _box1_targets returns the data
+of the extra expansion, the boxes at model prefix 1 and the successors
+not yet covered.  The engine turns each such successor into a BOX1
+child with one context, the first choice points on the stack that also
+holds the leaf's diamond and quantifier children.
+
 The fresh-prefix mapping discipline is applied at every model prefix,
 with prefix-1 assignments constrained by the model's transitions.  Two
 fresh prefixes at the same state may map to the same model state;
@@ -102,38 +110,15 @@ class _CheckEngine(_Engine):
     def _dia_contexts(self, sigma, sigma_i, ctx):
         return [{**ctx, sigma_i: a} for a in self.m.successors(ctx[sigma])]
 
-    def _post_saturation(self, a, ctx, clash, contrib):
-        _, _, _, sigma, _, _, boxes, _ = a
+    def _box1_targets(self, sigma, boxes, ctx):
         # boxes holds the boxes at sigma, and every entry of a check
         # activation sits at sigma, so it holds every box at model prefix 1
         boxes1 = [e for e in boxes if e[0] == (1,)]
         if not boxes1:
-            yield from self._dia_phase(a, ctx, clash, contrib)
-            return
+            return boxes1, ()
         n = len(sigma)
         covered = {ctx[s] for s in ctx if len(s) == n + 1 and s[:n] == sigma}
-        targets = [t for t in self.m.successors(ctx[sigma]) if t not in covered]
-        yield from self._box1_phase(a, boxes1, targets, 0, ctx, clash, list(contrib))
-
-    def _box1_phase(self, a, boxes1, targets, j, ctx, clash, contrib):
-        if j == len(targets):
-            yield from self._dia_phase(a, ctx, clash, contrib)
-            return
-        _, _, _, sigma, depth, _, _, _ = a
-        sigma_i = sigma + (self._fresh(),)
-        ctx2 = {**ctx, sigma_i: targets[j]}
-        entries = []
-        for e in boxes1:
-            concl = ((1,), sigma_i, e[2].body)
-            self._emit("BOX1", e, [concl])
-            entries.append(concl)
-        got = self._first(entries, frozenset(), sigma_i, depth + 1, ctx2)
-        if got is None:
-            return
-        c = len(contrib)
-        contrib.extend(got[1])
-        yield from self._box1_phase(a, boxes1, targets, j + 1, ctx2, clash, contrib)
-        del contrib[c:]
+        return boxes1, [t for t in self.m.successors(ctx[sigma]) if t not in covered]
 
 
 def check(a, f, opts=None):

@@ -1,7 +1,8 @@
 """Brute-force semantics: the independent ground truth for cross-validation.
 
-Evaluation is direct recursion over the model, except for the
-refinement quantifier: `Er psi` holds at a point exactly when some
+Evaluation is direct recursion over the model (a chain of one boolean
+connective is walked with a loop), except for the refinement
+quantifier: `Er psi` holds at a point exactly when some
 root-keeping restriction of the unravelling of the point to depth
 d_diamond(psi) satisfies psi.  Restrictions of an unravelling are
 genuine refinements (dropping tree edges preserves the back condition),
@@ -249,10 +250,21 @@ class _Eval:
             return f.name in node[0]
         if kind is NegAtom:
             return f.name not in node[0]
-        if kind is And:
-            return self.eval(node, f.left) and self.eval(node, f.right)
-        if kind is Or:
-            return self.eval(node, f.left) or self.eval(node, f.right)
+        if kind is And or kind is Or:
+            # the operands of a chain of this connective, left to right
+            # from an explicit stack, with the recursive walk's short
+            # circuit, so a deep chain costs no recursion; a chain node
+            # already in the memo counts as an operand
+            decides = kind is Or
+            memo, at = self.memo, id(node)
+            todo = [f.right, f.left]
+            while todo:
+                g = todo.pop()
+                if type(g) is kind and (at, g) not in memo:
+                    todo += (g.right, g.left)
+                elif bool(self.eval(node, g)) is decides:
+                    return decides
+            return not decides
         if kind is Diamond:
             return any(self.eval(k, f.body) for k in node[1])
         if kind is Box:

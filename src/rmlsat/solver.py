@@ -17,24 +17,28 @@ current prefixes and the processed marks M, an activation:
    point and the place the time budget is checked.  The or choice
    points sit on an explicit stack inside one saturation loop, so a
    wide conjunction of disjunctions costs no stack depth.  A leaf with
-   no diamond, no box at sigma and no quantifier skips steps 2 and 3:
-   it goes straight to step 4;
-2. for each unprocessed diamond at model prefix nu, builds a child
-   problem at a fresh successor prefix holding the diamond body plus
-   every box body recorded at an ancestor prefix of nu, and runs it
-   with an empty mark set (the child's outcome is all that matters, so
-   only its first success is taken); the diamonds' choice points, one
-   per diamond over its target contexts, sit on an explicit stack;
-3. for each unprocessed refinement quantifier, marks it and recurses at
-   a fresh model prefix on the ancestor-prefix slice of P, passing the
-   current marks; the child's literal results for ancestor prefixes are
-   appended to P, where later quantifier children see them (this is how
-   clashes discovered in different subtrees meet), and removed once
-   every continuation from that child completion has been tried;
-4. rejects if saturation recorded a clash witness, else returns P.
-   Merged literals need no check of their own: the complement of one
-   would already have been in the child's slice, so the child would
-   have rejected.
+   no diamond, no box at sigma and no quantifier has no children: it
+   goes straight to step 3;
+2. gives the leaf its children, each a choice point on one explicit
+   stack, tried depth-first over every combination of child successes:
+   the model checker's BOX1 children (see modelcheck), then for each
+   unprocessed diamond at model prefix nu a child problem at a fresh
+   successor prefix holding the diamond body plus every box body
+   recorded at an ancestor prefix of nu, run with an empty mark set
+   (only its first success is taken; its alternatives are its target
+   contexts), then for each unprocessed refinement quantifier a child
+   activation at a fresh model prefix on the ancestor-prefix slice of
+   P, passing the current marks (its alternatives are its accepted
+   completions).  The literal results a quantifier child's completion
+   has at ancestor prefixes are appended to P, where later quantifier
+   children see them (this is how clashes discovered in different
+   subtrees meet), and removed when its choice point moves on.  A
+   wide conjunction of diamonds or quantifiers costs no stack depth;
+   nesting across activations still does;
+3. once every child has succeeded, rejects if saturation recorded a
+   clash witness, else returns P.  Merged literals need no check of
+   their own: the complement of one would already have been in the
+   child's slice, so the child would have rejected.
 
 Fresh indices come from one counter per run, never reset while
 backtracking, so every prefix produced during a run is unique.  The
@@ -42,9 +46,12 @@ union of all triples produced along an accepted path is a complete,
 clash-free branch; sat() checks that on every SAT verdict, and reads the
 witness models off it only when a caller asks for them.
 
-The model checker subclasses the engine: hook methods cover everything
-it needs to pin state prefixes to concrete model states, and its own
-_add rejects a literal that does not hold at its pinned state.
+The model checker subclasses the engine.  Three hooks cover everything
+it needs to pin state prefixes to concrete model states: the initial
+context, the target contexts of a fresh successor prefix and the data
+of a leaf's BOX1 children (its boxes at model prefix 1 and the
+successor states still to cover).  Its own _add rejects a literal that
+does not hold at its pinned state.
 """
 
 import time
@@ -207,6 +214,11 @@ class _Engine:
         target state when states are being tracked."""
         return (ctx,)
 
+    def _box1_targets(self, sigma, boxes, ctx):
+        """(boxes, states): the boxes a BOX1 child at each of the states
+        carries, or no states; only the model checker has BOX1 children."""
+        return (), ()
+
     # -- bookkeeping -----------------------------------------------------------
 
     def _emit(self, rule, entry, conclusions):
@@ -289,10 +301,10 @@ class _Engine:
         backtracking, so a consumer that keeps either must copy it before
         resuming the generator.
 
-        The phases share the activation as the tuple a = (P, order, M,
-        sigma, depth, dias, boxes, ns).  P maps each entry to its position
-        in order, the produced triples in insertion order.  dias, boxes and
-        ns are the buckets the saturation cursor fills as it passes
+        Saturation and the modal phase share the activation as the tuple
+        a = (P, order, M, sigma, depth, dias, boxes, ns).  P maps each
+        entry to its position in order, the produced triples in insertion
+        order.  dias, boxes and ns are the buckets the saturation cursor fills as it passes
         entries: the unprocessed diamonds, the boxes at sigma and the
         unprocessed quantifiers, each in order.  A choice point truncates
         P, order and the buckets back to their lengths on entry, so the
@@ -309,7 +321,7 @@ class _Engine:
         return self._saturate((P, order, M, sigma, depth, [], [], []), ctx)
 
     def _saturate(self, a, ctx):
-        """Saturate under and/or/literal, then go on to the modal phases.
+        """Saturate under and/or/literal, then go on to the modal phase.
 
         One loop runs the saturation cursor.  Every entry of order before
         the cursor has been passed once on this branch: processed if it is
@@ -321,7 +333,7 @@ class _Engine:
         end.  And/literal steps extend P in place.  An entry counts as
         marked once the cursor passes it, so M itself does not grow here:
         after saturation every and/or/literal entry of P is processed, and
-        the modal phases read M that way.
+        the modal phase reads M that way.
 
         An or is a choice point on an explicit stack.  It holds the or
         entry, the cursor and clash witness just past it, and the lengths
@@ -369,7 +381,7 @@ class _Engine:
                     cursor += 1
                 else:
                     if dias or boxes or ns:
-                        yield from self._post_saturation(a, ctx, clash, order)
+                        yield from self._modal_phase(a, ctx, clash)
                     elif clash is not None:
                         self._reject_clash(clash)
                     else:
@@ -413,105 +425,107 @@ class _Engine:
             else:
                 return
 
-    def _dia_phase(self, a, ctx, clash, contrib):
-        """Give each diamond a child at a fresh successor prefix, then run
-        the quantifier phase, over every combination of first child
-        successes.
+    def _modal_phase(self, a, ctx, clash):
+        """Give the saturated leaf its children, then reject on the clash
+        witness or yield (P, produced triples), over every combination of
+        first child successes.
 
-        contrib lists the triples produced so far.  It starts out as
-        order itself, so a phase that appends to it first replaces it
-        with a copy.  One choice point per diamond sits on an explicit
-        stack, so a wide conjunction of diamonds costs no stack depth.  A
-        choice point ranges over the diamond's target contexts; each
-        alternative starts from contrib truncated back to its length when
-        the point was pushed.  ctx is the context of the innermost
-        alternative taken."""
-        _, order, _, sigma, depth, dias, boxes, _ = a
-        if not dias:
-            yield from self._exr_phase(a, _exr_marks(a), 0, ctx, clash, contrib)
-            return
-        M2 = None
+        The children are the model checker's BOX1 children, one per
+        unprocessed diamond and one per unprocessed quantifier, pushed in
+        that order onto one explicit stack of choice points, so wide input
+        costs no stack depth.  A BOX1 or diamond child draws its fresh
+        successor prefix when pushed; its alternatives are its target
+        contexts, and each runs a fresh activation on the child's entries
+        to its first success.  A quantifier child draws its fresh model
+        prefix and starts its activation on the ancestor-prefix slice of P
+        when pushed; its alternatives are that activation's accepted
+        completions, and each merges the completion's literals at ancestor
+        prefixes into P, where later quantifier children see them.
+
+        contrib lists the triples produced so far.  It starts out as order
+        itself and is copied before the first append to either.  Every
+        alternative starts from P, order and contrib truncated back to
+        their lengths when its choice point was pushed.  ctx is the
+        context of the innermost alternative taken."""
+        P, order, _, sigma, depth, dias, boxes, ns = a
+        boxes1, targets = self._box1_targets(sigma, boxes, ctx)
+        nb = len(targets)
+        nd = nb + len(dias)
+        n = nd + len(ns)
+        tracing = self.trace is not None
+        contrib, M2 = order, None
+        # a choice point is (alternatives, rules, premises, conclusions,
+        # len(order), len(contrib)); a quantifier child's has rules None
+        # and its model prefix nu as premises
         stack = []
         while True:
-            if len(stack) == len(dias):
+            k = len(stack)
+            if k == n:
+                if clash is not None:
+                    self._reject_clash(clash)
+                else:
+                    yield P, contrib
+            elif k < nd:
+                sigma_i = sigma + (self._fresh(),)
+                if k < nb:
+                    rules, premises = ("BOX1", "BOX1"), boxes1
+                    contexts = ({**ctx, sigma_i: targets[k]},)
+                else:
+                    e = dias[k - nb]
+                    nu = e[0]
+                    rules = ("DIA", "BOX")
+                    premises = [e] + [b for b in boxes if is_prefix_of(b[0], nu)]
+                    contexts = self._dia_contexts(sigma, sigma_i, ctx)
+                concls = [(x[0], sigma_i, x[2].body) for x in premises]
+                stack.append((iter(contexts), rules, premises, concls, len(order), len(contrib)))
+            else:
                 if M2 is None:
                     M2 = _exr_marks(a)
-                yield from self._exr_phase(a, M2, 0, ctx, clash, contrib)
-            else:
-                e = dias[len(stack)]
-                nu, _, f = e
-                sigma_i = sigma + (self._fresh(),)
-                concl = (nu, sigma_i, f.body)
-                box_pairs = [
-                    (b, (b[0], sigma_i, b[2].body)) for b in boxes if is_prefix_of(b[0], nu)
-                ]
-                contexts = iter(self._dia_contexts(sigma, sigma_i, ctx))
-                stack.append((e, concl, box_pairs, contexts, len(contrib)))
+                e = ns[k - nd]
+                nu = e[0]
+                new_entry = (nu + (self._fresh(),), sigma, e[2].body)
+                self._emit("EXR", e, [new_entry])
+                # the ancestor-prefix slice of P was admitted under this same
+                # state pinning, so only the new entry needs the literal check
+                child_order = [x for x in order if is_prefix_of(x[0], nu)]
+                childP = {x: j for j, x in enumerate(child_order)}
+                if self._add(childP, child_order, [new_entry], ctx):
+                    alts = self._activate(childP, child_order, M2, sigma, depth + 1, ctx)
+                else:
+                    alts = iter(())
+                stack.append((alts, None, nu, None, len(order), len(contrib)))
             # move the innermost choice point to its next child success
             while stack:
-                e, concl, box_pairs, contexts, c = stack[-1]
+                alts, rules, premises, concls, m, c = stack[-1]
+                _truncate(P, order, m)
                 del contrib[c:]
                 got = None
-                for ctx in contexts:
-                    self._emit("DIA", e, [concl])
-                    for premise, b in box_pairs:
-                        self._emit("BOX", premise, [b])
-                    got = self._first(
-                        [concl] + [b for _, b in box_pairs],
-                        frozenset(), concl[1], depth + 1, ctx,
-                    )
-                    if got is not None:
-                        break
-                if got is not None:
-                    if contrib is order:
-                        contrib = list(contrib)
-                    contrib.extend(got[1])
-                    break
-                stack.pop()
+                if rules is None:
+                    got = next(alts, None)
+                else:
+                    for ctx in alts:
+                        if tracing:
+                            for i, x in enumerate(premises):
+                                self._emit(rules[i > 0], x, [concls[i]])
+                        got = self._first(concls, frozenset(), concls[0][1], depth + 1, ctx)
+                        if got is not None:
+                            break
+                if got is None:
+                    stack.pop()
+                    continue
+                if contrib is order:
+                    contrib = order[:]
+                if rules is None:
+                    for x in got[0]:
+                        if x not in P and is_prefix_of(x[0], premises) and is_literal(x[2]):
+                            P[x] = len(order)
+                            order.append(x)
+                    if len(P) > self.stats.max_p_size:
+                        self.stats.max_p_size = len(P)
+                contrib.extend(got[1])
+                break
             else:
                 return
-
-    # the hook the model checker extends with its BOX1 phase
-    _post_saturation = _dia_phase
-
-    def _exr_phase(self, a, M2, k, ctx, clash, contrib):
-        P, order, _, sigma, depth, _, _, ns = a
-        if k == len(ns):
-            if clash is not None:
-                self._reject_clash(clash)
-                return
-            yield (P, contrib)
-            return
-        e = ns[k]
-        nu, _, f = e
-        mu_i = nu + (self._fresh(),)
-        new_entry = (mu_i, sigma, f.body)
-        self._emit("EXR", e, [new_entry])
-        # the ancestor-prefix slice of P was admitted under this same state
-        # pinning, so only the new entry needs the literal check
-        child_order = [x for x in order if is_prefix_of(x[0], nu)]
-        childP = {x: j for j, x in enumerate(child_order)}
-        if not self._add(childP, child_order, [new_entry], ctx):
-            return
-        if contrib is order:
-            contrib = list(contrib)
-        m, c = len(order), len(contrib)
-        st = self.stats
-        for childP_final, child_contrib in self._activate(
-            childP, child_order, M2, sigma, depth + 1, ctx
-        ):
-            # the child's literals at ancestor prefixes join P until the
-            # continuation is done
-            for x in childP_final:
-                if x not in P and is_prefix_of(x[0], nu) and is_literal(x[2]):
-                    P[x] = len(order)
-                    order.append(x)
-            if len(P) > st.max_p_size:
-                st.max_p_size = len(P)
-            contrib.extend(child_contrib)
-            yield from self._exr_phase(a, M2, k + 1, ctx, clash, contrib)
-            _truncate(P, order, m)
-            del contrib[c:]
 
 
 def sat(f, opts=None):

@@ -118,6 +118,13 @@ class TestSat:
             code, _, _ = run(["sat", "<>" * depth + "p"])
             assert code in (0, 3, 4)
 
+    def test_deep_quantifier_chain_never_unsat(self):
+        # nesting across activations still costs stack frames; the
+        # children's stack must not turn an overflow into UNSAT
+        for depth in (200, 400):
+            code, _, _ = run(["sat", "Er <>" * depth + "p"])
+            assert code in (0, 3, 4)
+
     def test_deeply_parenthesized_atom(self, tmp_path):
         fpath = tmp_path / "f.txt"
         fpath.write_text("(" * 10_000 + "p" + ")" * 10_000)
@@ -247,6 +254,17 @@ class TestCheck:
         assert "malformed model object" in err
 
 
+    def test_wide_box_fan_out(self, tmp_path):
+        succ = [f"t_{i}" for i in range(2000)]
+        valuation = {t: ["p"] for t in succ}
+        mpath = write_model(
+            tmp_path, states=["r", *succ], transitions=[["r", t] for t in succ],
+            valuation=valuation, point="r",
+        )
+        assert run(["check", "--model", mpath, "--formula", "[]p"]) == (0, "TRUE\n", "")
+        assert run(["check", "--model", mpath, "--formula", "[]p & <>!p"]) == (1, "FALSE\n", "")
+
+
 class TestOracle:
     def test_oracle_sat(self):
         assert run(["oracle-sat", "p | !p"])[:2] == (0, "SAT\n")
@@ -261,6 +279,21 @@ class TestOracle:
             "TRUE\n",
         )
         assert run(["oracle-check", "--model", mpath, "Er <> p"])[:2] == (1, "FALSE\n")
+
+    @pytest.mark.parametrize("shape", ["right", "left"])
+    def test_oracle_check_deep_conjunction(self, tmp_path, shape):
+        n = 3000
+        if shape == "right":
+            text = "".join(f"(x_{i} & " for i in range(n - 1)) + f"x_{n - 1}" + ")" * (n - 1)
+        else:
+            text = " & ".join(f"x_{i}" for i in range(n))
+        labels = [f"x_{i}" for i in range(n)]
+        fpath = tmp_path / "f.txt"
+        fpath.write_text(text)
+        for valuation, want in (({"s": labels}, (0, "TRUE\n")), ({"s": labels[1:]}, (1, "FALSE\n"))):
+            mpath = write_model(tmp_path, valuation=valuation, point="s")
+            assert run(["oracle-check", "--model", mpath, "@" + str(fpath)])[:2] == want
+            assert run(["check", "--model", mpath, "--formula", "@" + str(fpath)])[:2] == want
 
     @pytest.mark.parametrize("command", ["oracle-sat", "oracle-check"])
     def test_time_budget_exhausted_exit_three(self, tmp_path, command):

@@ -77,6 +77,22 @@ class TestEval:
                 d = metrics(f).d_diamond
                 assert oracle_eval(a, f) == oracle_eval(unravel(a, d), f)
 
+    @pytest.mark.parametrize("connective", [And, Or])
+    @pytest.mark.parametrize("shape", ["right", "left"])
+    def test_deep_chain(self, connective, shape):
+        # a 3,000-deep chain of one connective is walked with a loop
+        n = 3000
+        xs = [Atom(f"x_{i}") for i in range(n)]
+        f = xs[-1] if shape == "right" else xs[0]
+        for x in reversed(xs[:-1]) if shape == "right" else xs[1:]:
+            f = connective(x, f) if shape == "right" else connective(f, x)
+        names = [x.name for x in xs]
+        every = pm(["s"], [], {"s": names}, "s")
+        one = pm(["s"], [], {"s": names[1234:1235]}, "s")
+        assert oracle_eval(every, f)
+        assert oracle_eval(one, f) is (connective is Or)
+        assert not oracle_eval(pm(["s"], [], {}, "s"), f)
+
     def test_monotone_under_refinement(self):
         # small scope on purpose: keeps the bounded refinement search exact
         models = list(modelgen.pointed_models(2, ("p",)))

@@ -234,9 +234,21 @@ def clause_conjunction(n):
     return " & ".join(f"(a_{i} | b_{i})" for i in range(n))
 
 
+def quantifier_conjunction(n):
+    return " & ".join(f"Er x_{i}" for i in range(n))
+
+
+def fan_out(n, missing=()):
+    """State r with successors t_0..t_{n-1}, each labelled p unless missing."""
+    succ = [f"t_{i}" for i in range(n)]
+    valuation = {t: ["p"] for i, t in enumerate(succ) if i not in missing}
+    return PointedModel(KripkeModel(["r", *succ], [("r", t) for t in succ], valuation), "r")
+
+
 class TestWideInputs:
-    """Saturation is a loop and the or and diamond choice points sit on
-    explicit stacks, so a wide conjunction costs no stack depth."""
+    """Saturation is a loop, and the or choice points and every child of an
+    activation sit on explicit stacks, so a wide conjunction costs no
+    stack depth."""
 
     def test_wide_atom_conjunction_sat(self):
         res = sat(parse(atom_conjunction(3000)))
@@ -275,6 +287,19 @@ class TestWideInputs:
     def test_wide_disjunction_conjunction_check(self, labels, want):
         pointed = PointedModel(KripkeModel(["s"], [], {"s": labels}), "s")
         assert check(pointed, parse(clause_conjunction(3000))) is want
+
+    def test_wide_quantifier_conjunction(self):
+        # one quantifier child per conjunct, all on the activation's stack
+        res = sat(parse(quantifier_conjunction(1000)))
+        assert res.satisfiable
+        assert res.stats.activations == 1001 and res.stats.max_depth == 2
+        assert not sat(parse(quantifier_conjunction(1000) + " & !x_7")).satisfiable
+
+    @pytest.mark.parametrize("text", ["[]p", "[]p & <>p"])
+    def test_wide_box_fan_out_check(self, text):
+        # one BOX1 child per successor, all on the activation's stack
+        assert check(fan_out(2000), parse(text)) is True
+        assert check(fan_out(2000, missing=(1234,)), parse(text)) is False
 
 
 class TestTimeBudget:
