@@ -426,27 +426,21 @@ class _Engine:
                 return
 
     def _modal_phase(self, a, ctx, clash):
-        """Give the saturated leaf its children, then reject on the clash
-        witness or yield (P, produced triples), over every combination of
-        first child successes.
+        """Give the saturated leaf its children (step 2 of the module
+        docstring), then reject on the clash witness or yield (P, produced
+        triples), over every combination of first child successes.
 
-        The children are the model checker's BOX1 children, one per
-        unprocessed diamond and one per unprocessed quantifier, pushed in
-        that order onto one explicit stack of choice points, so wide input
-        costs no stack depth.  A BOX1 or diamond child draws its fresh
-        successor prefix when pushed; its alternatives are its target
-        contexts, and each runs a fresh activation on the child's entries
+        Each child is a choice point on one explicit stack.  A BOX1 or
+        diamond child draws its fresh successor prefix when pushed, and
+        each of its alternatives (target contexts) runs a fresh activation
         to its first success.  A quantifier child draws its fresh model
-        prefix and starts its activation on the ancestor-prefix slice of P
-        when pushed; its alternatives are that activation's accepted
-        completions, and each merges the completion's literals at ancestor
-        prefixes into P, where later quantifier children see them.
-
-        contrib lists the triples produced so far.  It starts out as order
-        itself and is copied before the first append to either.  Every
-        alternative starts from P, order and contrib truncated back to
-        their lengths when its choice point was pushed.  ctx is the
-        context of the innermost alternative taken."""
+        prefix and starts its activation when pushed, and each of its
+        alternatives (accepted completions) merges its literals at
+        ancestor prefixes into P.  contrib lists the triples produced so
+        far; it starts out as order itself and is copied before the first
+        append to either.  Every alternative starts from P, order and
+        contrib truncated back to their lengths when its choice point was
+        pushed.  ctx is the context of the innermost alternative taken."""
         P, order, _, sigma, depth, dias, boxes, ns = a
         boxes1, targets = self._box1_targets(sigma, boxes, ctx)
         nb = len(targets)

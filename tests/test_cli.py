@@ -114,15 +114,8 @@ class TestSat:
     def test_deep_diamond_chain_never_unsat(self):
         # deep modal nesting may still exhaust the stack (exit 4), but it
         # must never read as a verdict of UNSAT
-        for depth in (250, 400):
-            code, _, _ = run(["sat", "<>" * depth + "p"])
-            assert code in (0, 3, 4)
-
-    def test_deep_quantifier_chain_never_unsat(self):
-        # nesting across activations still costs stack frames; the
-        # children's stack must not turn an overflow into UNSAT
-        for depth in (200, 400):
-            code, _, _ = run(["sat", "Er <>" * depth + "p"])
+        for unit, depth in (("<>", 250), ("<>", 400), ("Er <>", 200), ("Er <>", 400)):
+            code, _, _ = run(["sat", unit * depth + "p"])
             assert code in (0, 3, 4)
 
     def test_deeply_parenthesized_atom(self, tmp_path):
@@ -252,7 +245,6 @@ class TestCheck:
         code, out, err = run(["check", "--model", mpath, "--formula", "p"])
         assert (code, out) == (2, "")
         assert "malformed model object" in err
-
 
     def test_wide_box_fan_out(self, tmp_path):
         succ = [f"t_{i}" for i in range(2000)]

@@ -83,9 +83,14 @@ class TestEval:
         # a 3,000-deep chain of one connective is walked with a loop
         n = 3000
         xs = [Atom(f"x_{i}") for i in range(n)]
-        f = xs[-1] if shape == "right" else xs[0]
-        for x in reversed(xs[:-1]) if shape == "right" else xs[1:]:
-            f = connective(x, f) if shape == "right" else connective(f, x)
+        if shape == "right":
+            f = xs[-1]
+            for x in reversed(xs[:-1]):
+                f = connective(x, f)
+        else:
+            f = xs[0]
+            for x in xs[1:]:
+                f = connective(f, x)
         names = [x.name for x in xs]
         every = pm(["s"], [], {"s": names}, "s")
         one = pm(["s"], [], {"s": names[1234:1235]}, "s")
