@@ -23,8 +23,10 @@ only the tokens `top`, `bot`, `<>`, `[]`, `&`, `|` and parentheses.
 Exit codes: 0 SAT/TRUE/no divergence, 1 UNSAT/FALSE/divergence found,
 2 usage or parse error (also a universal quantifier `Ar`, which every
 decision procedure rejects with FragmentViolation), 3 resource limit,
-4 internal error (any other exception, such as RecursionError on very
-deep formulas; the traceback goes to stderr).
+4 internal error (any other exception, such as RecursionError in
+`oracle-check` on a few thousand nested modal operators; the traceback
+goes to stderr).  `sat` and `check` run their search from explicit
+stacks, so nesting depth alone does not make them exit 4.
 """
 
 import argparse

@@ -418,14 +418,20 @@ def load_model(path):
         return model_from_dict(json.load(fh))
 
 
+def _dot_escape(text):
+    """text with backslashes and double quotes escaped, for a DOT quoted string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(m, point=None):
     """DOT rendering: one node per state labeled with its valuation."""
     lines = ["digraph model {"]
     for s in m.states:
-        label = s + "\\n{" + ", ".join(sorted(m.valuation[s])) + "}"
+        name = _dot_escape(s)
+        label = name + "\\n{" + _dot_escape(", ".join(sorted(m.valuation[s]))) + "}"
         shape = ' peripheries=2' if s == point else ""
-        lines.append(f'  "{s}" [label="{label}"{shape}];')
+        lines.append(f'  "{name}" [label="{label}"{shape}];')
     for s, t in sorted(m.transitions):
-        lines.append(f'  "{s}" -> "{t}";')
+        lines.append(f'  "{_dot_escape(s)}" -> "{_dot_escape(t)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

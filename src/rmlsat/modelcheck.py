@@ -21,7 +21,10 @@ prefix are its state's successors, and _box1_targets returns the data
 of the extra expansion, the boxes at model prefix 1 and the successors
 not yet covered.  The engine turns each such successor into a BOX1
 child with one context, the first choice points on the stack that also
-holds the leaf's diamond and quantifier children.
+holds the leaf's diamond and quantifier children.  The checker's
+activations are generators run from the engine's one explicit stack,
+like those of satisfiability, so deep nesting costs no Python stack:
+`[]`x2,000 `p` is decided on a one-state loop.
 
 The fresh-prefix mapping discipline is applied at every model prefix,
 with prefix-1 assignments constrained by the model's transitions.  Two

@@ -204,11 +204,10 @@ def _restriction_satisfiable(tree, space):
 
 class _Call:
     """What one public oracle call shares across every model, candidate
-    tree and restriction it visits: the facts per quantified body, the
-    restriction cap and the deadline."""
+    tree and restriction it visits: the facts per quantified body and the
+    deadline."""
 
-    def __init__(self, restriction_cap, time_budget):
-        self.cap = restriction_cap
+    def __init__(self, time_budget):
         self.budget = time_budget
         self.deadline = None if time_budget is None else perf_counter() + time_budget
         self.bodies = {}
@@ -282,9 +281,10 @@ class _Eval:
         count = 0
         for candidate in node_restrictions(tree):
             count += 1
-            if count > call.cap:
+            if count > _EVAL_RESTRICTION_CAP:
                 raise ResourceLimit(
-                    f"more than {call.cap} restrictions while evaluating Er {render(psi)}"
+                    f"more than {_EVAL_RESTRICTION_CAP} restrictions"
+                    f" while evaluating Er {render(psi)}"
                 )
             call.tick()
             if _Eval(call).eval(candidate, psi):
@@ -292,15 +292,15 @@ class _Eval:
         return False
 
 
-def oracle_eval(a, f, restriction_cap=_EVAL_RESTRICTION_CAP, time_budget=None):
+def oracle_eval(a, f, time_budget=None):
     """Truth of f at the pointed model a under the brute-force semantics.
 
-    Raises ResourceLimit past restriction_cap restrictions for one Er, or
+    Raises ResourceLimit past _EVAL_RESTRICTION_CAP restrictions for one Er, or
     once time_budget seconds have passed (checked once per restriction).
     """
     check_fragment(f)
     node = graph_nodes(a.model)[a.point]
-    return _Eval(_Call(restriction_cap, time_budget)).eval(node, f)
+    return _Eval(_Call(time_budget)).eval(node, f)
 
 
 # --- bounded-tree satisfiability ---------------------------------------------
@@ -387,7 +387,7 @@ def oracle_sat(f, max_candidates=DEFAULT_CANDIDATE_CAP, time_budget=None):
     per fixpoint level) it raises ResourceLimit too.
     """
     check_fragment(f)
-    call = _Call(_EVAL_RESTRICTION_CAP, time_budget)
+    call = _Call(time_budget)
     names = atoms(f)
     depth = metrics(f).d_diamond
     branching = count_diamonds(f)

@@ -1,12 +1,15 @@
 """Backtracking satisfiability solver for the existential refinement fragment.
 
-The solver explores tableau branches with a recursive activation per
-state prefix.  One activation owns one P, which maps each triple to its
-position in the activation's insertion order (the produced triples),
-and keeps one branch at a time: every choice point remembers how far P
-and its buckets reach and truncates them back before the next
-alternative (an undo trail), so P is never copied.  Given P, the
-current prefixes and the processed marks M, an activation:
+The solver explores tableau branches depth-first, one activation per
+state prefix and per quantifier child.  Every activation is a generator,
+and one loop runs them all from one list used as a stack (the current
+path of activations), so nesting costs no Python stack.  One
+activation owns one P, which maps each triple to its position in the
+activation's insertion order (the produced triples), and keeps one
+branch at a time: every choice point remembers how far P and its
+buckets reach and truncates them back before the next alternative (an
+undo trail), so P is never copied.  Given P, the current prefixes and
+the processed marks M, an activation:
 
 1. saturates P under the and/or/literal rules with a cursor worklist:
    the cursor passes each entry once per branch, runs and steps and
@@ -18,7 +21,8 @@ current prefixes and the processed marks M, an activation:
    points sit on an explicit stack inside one saturation loop, so a
    wide conjunction of disjunctions costs no stack depth.  A leaf with
    no diamond, no box at sigma and no quantifier has no children: it
-   goes straight to step 3;
+   goes straight to step 3, and one with a clash witness rejects right
+   there;
 2. gives the leaf its children, each a choice point on one explicit
    stack, tried depth-first over every combination of child successes:
    the model checker's BOX1 children (see modelcheck), then for each
@@ -32,9 +36,14 @@ current prefixes and the processed marks M, an activation:
    completions).  The literal results a quantifier child's completion
    has at ancestor prefixes are appended to P, where later quantifier
    children see them (this is how clashes discovered in different
-   subtrees meet), and removed when its choice point moves on.  A
-   wide conjunction of diamonds or quantifiers costs no stack depth;
-   nesting across activations still does;
+   subtrees meet), and removed when its choice point moves on.  The
+   leaf asks for a child's next completion by yielding the child's
+   generator; the loop runs the child and sends back its next
+   completion, or None when it has no more.  A BOX1 or diamond child is
+   dropped after its first success, and a quantifier child is yielded
+   again when its next completion is needed.  Neither a wide
+   conjunction of diamonds or quantifiers nor deep nesting costs stack
+   depth;
 3. once every child has succeeded, rejects if saturation recorded a
    clash witness, else returns P.  Merged literals need no check of
    their own: the complement of one would already have been in the
@@ -109,16 +118,6 @@ def _complement(t, name):
     return c
 
 
-def _exr_marks(a):
-    """The marks quantifier children inherit: every mark of the saturated
-    activation a, whose and/or/literal entries are all processed."""
-    _, order, M, _, _, dias, _, ns = a
-    if not ns:
-        return M
-    saturated = (x for x in order if isinstance(x[2], _SATURATED))
-    return M.union(saturated, dias, ns)
-
-
 def _truncate(P, order, m):
     """Undo every addition to P and order past position m."""
     for a in order[m:]:
@@ -141,8 +140,8 @@ class ClashFailure(Exception):
 class SolverOptions:
     node_budget: int = 10**6        # maximum activations per run
     time_budget: float = None       # seconds, None for unlimited
-    trace: bool = False
-    trace_out: object = None        # stream for live trace lines
+    trace: bool = False             # record trace lines in SatResult.trace
+    trace_out: object = None        # stream for live trace lines; also turns tracing on
 
 
 @dataclass
@@ -196,7 +195,7 @@ class _Engine:
         self.opts = opts or SolverOptions()
         self.counter = 1
         self.stats = SearchStats()
-        self.trace = [] if self.opts.trace else None
+        self.trace = [] if self.opts.trace or self.opts.trace_out is not None else None
         self.deadline = (
             time.monotonic() + self.opts.time_budget
             if self.opts.time_budget is not None
@@ -281,34 +280,78 @@ class _Engine:
     def solve(self, root_entries, sigma, marks):
         """First accepted completion: (final P, produced triples) or None.
         Every entry carries its own model prefix, so only the state prefix
-        is passed."""
-        return self._first(root_entries, frozenset(marks), sigma, 1, self._initial_ctx())
+        is passed.
 
-    def _first(self, entries, M, sigma, depth, ctx):
-        """The first accepted completion of a fresh activation on entries,
-        or None.  The rest of its search is dropped, so nothing ever
-        truncates the P and produced triples it returns."""
-        P, order = {}, []
-        if not self._add(P, order, entries, ctx):
-            return None
-        for got in self._activate(P, order, M, sigma, depth, ctx):
-            return got
-        return None
+        Every activation is a generator, and one list used as a stack runs
+        them all, the innermost last.  An activation that yields a
+        generator asks for that child's next completion: the child is
+        pushed and resumed.  One that yields a completion (a tuple) or
+        None (it has no more) is popped, and what it yielded is sent to
+        its parent.  The rest of the root's search is dropped, so nothing
+        ever truncates the P and produced triples it returns."""
+        ctx = self._initial_ctx()
+        stack = [self._activate({}, [], root_entries, frozenset(marks), sigma, 1, ctx)]
+        got = None
+        while stack:
+            got = stack[-1].send(got)
+            if got is None or type(got) is tuple:
+                stack.pop()
+            else:
+                stack.append(got)
+                got = None
+        return got
 
-    def _activate(self, P, order, M, sigma, depth, ctx):
-        """A generator of every accepted completion (P, produced triples) of
-        the activation that owns P and order.  Both are undone in place on
-        backtracking, so a consumer that keeps either must copy it before
-        resuming the generator.
+    def _activate(self, P, order, adds, M, sigma, depth, ctx):
+        """The activation that owns P and order, started by adding adds to
+        them: a generator that yields each child activation it needs the
+        next completion of (solve sends it back, or None when the child has
+        no more), each of its own accepted completions (P, produced
+        triples) and finally None, after which it is never resumed.  None
+        is yielded rather than returned because catching StopIteration
+        from every exhausted activation costs more.  P and order are
+        undone in place on backtracking, so a consumer that keeps either
+        must copy it before resuming the activation.
 
-        Saturation and the modal phase share the activation as the tuple
-        a = (P, order, M, sigma, depth, dias, boxes, ns).  P maps each
-        entry to its position in order, the produced triples in insertion
-        order.  dias, boxes and ns are the buckets the saturation cursor fills as it passes
-        entries: the unprocessed diamonds, the boxes at sigma and the
-        unprocessed quantifiers, each in order.  A choice point truncates
-        P, order and the buckets back to their lengths on entry, so the
-        branch is never copied."""
+        P maps each entry to its position in order, the produced triples in
+        insertion order.  One loop runs the saturation cursor.  Every entry
+        of order before the cursor has been passed once on this branch:
+        processed if it is an unmarked and/or/literal entry, put into its
+        bucket if it is a diamond (dias, the unprocessed ones), a box
+        (boxes, those at sigma) or a quantifier (ns, the unprocessed ones),
+        and checked against P for its complement if it is a literal.  clash
+        is the first literal whose complement sits at an earlier position,
+        the witness a scan of the final P in order would report.  And and
+        literal steps extend P in place.  An entry counts as marked once the
+        cursor passes it, so M itself does not grow here: at a saturated
+        leaf every and/or/literal entry of P is processed.
+
+        An or is a choice point on the stack ors: the or entry, the cursor
+        and clash witness just past it, and the lengths of order and the
+        three buckets.  The left alternative extends P in place.  When an
+        alternative is rejected or its leaf is exhausted, the innermost
+        point is popped, P, order and the buckets are truncated back to it,
+        and its right alternative is taken.
+
+        A leaf with no children rejects on its clash witness right away.
+        Otherwise each child is a choice point on the stack kids:
+        (alternatives, rules, premises, conclusions, len(order),
+        len(contrib)).  A BOX1 or diamond child draws its fresh successor
+        prefix when pushed; each of its alternatives (target contexts)
+        asks a fresh activation for its first success only.  A quantifier
+        child draws its fresh model prefix and creates its activation when
+        pushed; rules is None and premises is its model prefix nu, and each
+        of its alternatives is that activation's next completion, whose
+        literals at ancestor prefixes of nu are merged into P.  contrib
+        lists the triples produced so far; it starts out as order itself
+        and is copied before the first append to either.  Every alternative
+        starts from P, order and contrib truncated back to their lengths
+        when its choice point was pushed.  kctx is the context of the
+        innermost BOX1 or diamond alternative taken, which later children
+        inherit; the entries an or alternative adds keep the activation's
+        own ctx."""
+        if not self._add(P, order, adds, ctx):
+            yield None
+            return
         st = self.stats
         st.activations += 1
         if st.activations > self.opts.node_budget:
@@ -316,61 +359,55 @@ class _Engine:
         self._check_time()
         if depth > st.max_depth:
             st.max_depth = depth
-        if len(P) > st.max_p_size:
-            st.max_p_size = len(P)
-        return self._saturate((P, order, M, sigma, depth, [], [], []), ctx)
-
-    def _saturate(self, a, ctx):
-        """Saturate under and/or/literal, then go on to the modal phase.
-
-        One loop runs the saturation cursor.  Every entry of order before
-        the cursor has been passed once on this branch: processed if it is
-        an unmarked and/or/literal entry, put into its bucket if it is a
-        diamond, a box or a quantifier, and checked against P for its
-        complement if it is a literal.  clash is the first literal whose
-        complement sits at an earlier position, the witness a scan of the
-        final P in order would report; the activation rejects on it at the
-        end.  And/literal steps extend P in place.  An entry counts as
-        marked once the cursor passes it, so M itself does not grow here:
-        after saturation every and/or/literal entry of P is processed, and
-        the modal phase reads M that way.
-
-        An or is a choice point on an explicit stack.  It holds the or
-        entry, the cursor and clash witness just past it, and the lengths
-        of order and the three buckets.  The left alternative extends P in
-        place.  When an alternative is rejected or its leaf is exhausted,
-        the innermost point is popped, P, order and the buckets are
-        truncated back to it, and its right alternative is taken, so
-        nothing recurses per alternative.  A leaf with no diamond, no box
-        at sigma and no quantifier has no modal phase to run: it rejects on
-        the clash witness or yields (P, order) right there."""
-        P, order, M, sigma, _, dias, boxes, ns = a
         tracing = self.trace is not None
         deadline = self.deadline
         add = self._add
         complements = _COMPLEMENTS
+        dias, boxes, ns = [], [], []
         cursor, clash = 0, None
-        stack = []
+        ors = []
         while True:
             n = len(order)
-            while True:
-                while cursor < n:
-                    e = order[cursor]
-                    f = e[2]
-                    t = type(f)
-                    if t is Atom or t is NegAtom:
-                        if clash is None:
-                            c = complements.get((t, f.name)) or _complement(t, f.name)
-                            at = P.get((e[0], e[1], c))
-                            if at is not None and at < cursor:
-                                clash = (e[0], e[1], f.name)
-                        # at model prefix 1 a literal step adds nothing
-                        if len(e[0]) > 1 and e not in M:
-                            break
-                    elif t is And or t is Or:
-                        if e not in M:
-                            break
-                    elif t is Diamond:
+            leaf = True
+            while cursor < n:
+                e = order[cursor]
+                cursor += 1
+                f = e[2]
+                t = type(f)
+                if t is Atom or t is NegAtom:
+                    if clash is None:
+                        # the cursor is already past e, which is not its own complement
+                        c = complements.get((t, f.name)) or _complement(t, f.name)
+                        at = P.get((e[0], e[1], c))
+                        if at is not None and at < cursor:
+                            clash = (e[0], e[1], f.name)
+                    # at model prefix 1 a literal step adds nothing
+                    if len(e[0]) == 1 or e in M:
+                        continue
+                    nu, sg, _ = e
+                    adds = [(nu[:k], sg, f) for k in range(len(nu) - 1, 0, -1)]
+                    adds = [x for x in adds if x not in P]
+                    if not adds:
+                        continue
+                    if tracing:
+                        self._emit("L", e, adds)
+                elif t is And or t is Or:
+                    if e in M:
+                        continue
+                    nu, sg, _ = e
+                    if t is And:
+                        adds = ((nu, sg, f.left), (nu, sg, f.right))
+                        if tracing:
+                            self._emit("AND", e, adds)
+                    else:
+                        ors.append((e, cursor, clash, len(order), len(dias), len(boxes), len(ns)))
+                        if deadline is not None:
+                            self._check_time()
+                        adds = ((nu, sg, f.left),)
+                        if tracing:
+                            self._emit("OR", e, adds)
+                else:
+                    if t is Diamond:
                         if e not in M:
                             dias.append(e)
                     elif t is Box:
@@ -378,43 +415,93 @@ class _Engine:
                             boxes.append(e)
                     elif t is ExistsR and e not in M:
                         ns.append(e)
-                    cursor += 1
-                else:
-                    if dias or boxes or ns:
-                        yield from self._modal_phase(a, ctx, clash)
-                    elif clash is not None:
-                        self._reject_clash(clash)
-                    else:
-                        yield P, order
-                    break
-                cursor += 1
-                nu, sg, _ = e
-                if t is And:
-                    adds = ((nu, sg, f.left), (nu, sg, f.right))
-                    if tracing:
-                        self._emit("AND", e, adds)
-                elif t is Or:
-                    stack.append((e, cursor, clash, len(order), len(dias), len(boxes), len(ns)))
-                    if deadline is not None:
-                        self._check_time()
-                    adds = ((nu, sg, f.left),)
-                    if tracing:
-                        self._emit("OR", e, adds)
-                else:
-                    adds = [(nu[:k], sg, f) for k in range(len(nu) - 1, 0, -1)]
-                    adds = [x for x in adds if x not in P]
-                    if not adds:
-                        continue
-                    if tracing:
-                        self._emit("L", e, adds)
+                    continue
                 if not add(P, order, adds, ctx):
+                    leaf = False
                     break
                 n = len(order)
+            if leaf and clash is not None and not (dias or boxes or ns):
+                self._reject_clash(clash)
+            elif leaf:
+                boxes1, targets = self._box1_targets(sigma, boxes, ctx)
+                nb = len(targets)
+                nd = nb + len(dias)
+                nk = nd + len(ns)
+                contrib, M2, kctx = order, None, ctx
+                kids = []
+                while True:
+                    k = len(kids)
+                    if k == nk:
+                        if clash is not None:
+                            self._reject_clash(clash)
+                        else:
+                            yield P, contrib
+                    elif k < nd:
+                        sigma_i = sigma + (self._fresh(),)
+                        if k < nb:
+                            rules, premises = ("BOX1", "BOX1"), boxes1
+                            contexts = ({**kctx, sigma_i: targets[k]},)
+                        else:
+                            e = dias[k - nb]
+                            nu = e[0]
+                            rules = ("DIA", "BOX")
+                            premises = [e] + [b for b in boxes if is_prefix_of(b[0], nu)]
+                            contexts = self._dia_contexts(sigma, sigma_i, kctx)
+                        concls = [(x[0], sigma_i, x[2].body) for x in premises]
+                        kids.append((iter(contexts), rules, premises, concls, len(order), len(contrib)))
+                    else:
+                        if M2 is None:
+                            saturated = (x for x in order if isinstance(x[2], _SATURATED))
+                            M2 = M.union(saturated, dias, ns)
+                        e = ns[k - nd]
+                        nu = e[0]
+                        new_entry = (nu + (self._fresh(),), sigma, e[2].body)
+                        self._emit("EXR", e, [new_entry])
+                        # the ancestor-prefix slice of P was admitted under this same
+                        # state pinning, so only the new entry needs the literal check
+                        child_order = [x for x in order if is_prefix_of(x[0], nu)]
+                        childP = {x: j for j, x in enumerate(child_order)}
+                        child = self._activate(childP, child_order, (new_entry,), M2, sigma,
+                                               depth + 1, kctx)
+                        kids.append((child, None, nu, None, len(order), len(contrib)))
+                    # move the innermost child to its next success
+                    while kids:
+                        alts, rules, premises, concls, m, c = kids[-1]
+                        _truncate(P, order, m)
+                        del contrib[c:]
+                        if rules is None:
+                            got = yield alts
+                        else:
+                            got = None
+                            for kctx in alts:
+                                if tracing:
+                                    for i, x in enumerate(premises):
+                                        self._emit(rules[i > 0], x, [concls[i]])
+                                got = yield self._activate({}, [], concls, frozenset(),
+                                                           concls[0][1], depth + 1, kctx)
+                                if got is not None:
+                                    break
+                        if got is None:
+                            kids.pop()
+                            continue
+                        if contrib is order:
+                            contrib = order[:]
+                        if rules is None:
+                            for x in got[0]:
+                                if x not in P and is_prefix_of(x[0], premises) and is_literal(x[2]):
+                                    P[x] = len(order)
+                                    order.append(x)
+                            if len(P) > st.max_p_size:
+                                st.max_p_size = len(P)
+                        contrib.extend(got[1])
+                        break
+                    else:
+                        break
             # take the right alternative of the innermost or choice point
-            while stack:
-                e, cursor, clash, m, nd, nb, nn = stack.pop()
+            while ors:
+                e, cursor, clash, m, ld, lb, ln = ors.pop()
                 _truncate(P, order, m)
-                del dias[nd:], boxes[nb:], ns[nn:]
+                del dias[ld:], boxes[lb:], ns[ln:]
                 if deadline is not None:
                     self._check_time()
                 adds = ((e[0], e[1], e[2].right),)
@@ -423,103 +510,8 @@ class _Engine:
                 if add(P, order, adds, ctx):
                     break
             else:
-                return
-
-    def _modal_phase(self, a, ctx, clash):
-        """Give the saturated leaf its children (step 2 of the module
-        docstring), then reject on the clash witness or yield (P, produced
-        triples), over every combination of first child successes.
-
-        Each child is a choice point on one explicit stack.  A BOX1 or
-        diamond child draws its fresh successor prefix when pushed, and
-        each of its alternatives (target contexts) runs a fresh activation
-        to its first success.  A quantifier child draws its fresh model
-        prefix and starts its activation when pushed, and each of its
-        alternatives (accepted completions) merges its literals at
-        ancestor prefixes into P.  contrib lists the triples produced so
-        far; it starts out as order itself and is copied before the first
-        append to either.  Every alternative starts from P, order and
-        contrib truncated back to their lengths when its choice point was
-        pushed.  ctx is the context of the innermost alternative taken."""
-        P, order, _, sigma, depth, dias, boxes, ns = a
-        boxes1, targets = self._box1_targets(sigma, boxes, ctx)
-        nb = len(targets)
-        nd = nb + len(dias)
-        n = nd + len(ns)
-        tracing = self.trace is not None
-        contrib, M2 = order, None
-        # a choice point is (alternatives, rules, premises, conclusions,
-        # len(order), len(contrib)); a quantifier child's has rules None
-        # and its model prefix nu as premises
-        stack = []
-        while True:
-            k = len(stack)
-            if k == n:
-                if clash is not None:
-                    self._reject_clash(clash)
-                else:
-                    yield P, contrib
-            elif k < nd:
-                sigma_i = sigma + (self._fresh(),)
-                if k < nb:
-                    rules, premises = ("BOX1", "BOX1"), boxes1
-                    contexts = ({**ctx, sigma_i: targets[k]},)
-                else:
-                    e = dias[k - nb]
-                    nu = e[0]
-                    rules = ("DIA", "BOX")
-                    premises = [e] + [b for b in boxes if is_prefix_of(b[0], nu)]
-                    contexts = self._dia_contexts(sigma, sigma_i, ctx)
-                concls = [(x[0], sigma_i, x[2].body) for x in premises]
-                stack.append((iter(contexts), rules, premises, concls, len(order), len(contrib)))
-            else:
-                if M2 is None:
-                    M2 = _exr_marks(a)
-                e = ns[k - nd]
-                nu = e[0]
-                new_entry = (nu + (self._fresh(),), sigma, e[2].body)
-                self._emit("EXR", e, [new_entry])
-                # the ancestor-prefix slice of P was admitted under this same
-                # state pinning, so only the new entry needs the literal check
-                child_order = [x for x in order if is_prefix_of(x[0], nu)]
-                childP = {x: j for j, x in enumerate(child_order)}
-                if self._add(childP, child_order, [new_entry], ctx):
-                    alts = self._activate(childP, child_order, M2, sigma, depth + 1, ctx)
-                else:
-                    alts = iter(())
-                stack.append((alts, None, nu, None, len(order), len(contrib)))
-            # move the innermost choice point to its next child success
-            while stack:
-                alts, rules, premises, concls, m, c = stack[-1]
-                _truncate(P, order, m)
-                del contrib[c:]
-                got = None
-                if rules is None:
-                    got = next(alts, None)
-                else:
-                    for ctx in alts:
-                        if tracing:
-                            for i, x in enumerate(premises):
-                                self._emit(rules[i > 0], x, [concls[i]])
-                        got = self._first(concls, frozenset(), concls[0][1], depth + 1, ctx)
-                        if got is not None:
-                            break
-                if got is None:
-                    stack.pop()
-                    continue
-                if contrib is order:
-                    contrib = order[:]
-                if rules is None:
-                    for x in got[0]:
-                        if x not in P and is_prefix_of(x[0], premises) and is_literal(x[2]):
-                            P[x] = len(order)
-                            order.append(x)
-                    if len(P) > self.stats.max_p_size:
-                        self.stats.max_p_size = len(P)
-                contrib.extend(got[1])
                 break
-            else:
-                return
+        yield None
 
 
 def sat(f, opts=None):

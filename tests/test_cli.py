@@ -112,11 +112,12 @@ class TestSat:
         assert run(["sat", "@" + str(fpath)]) == (0, "SAT\n", "")
 
     def test_deep_diamond_chain_never_unsat(self):
-        # deep modal nesting may still exhaust the stack (exit 4), but it
-        # must never read as a verdict of UNSAT
+        # nesting across activations costs no stack, so deep chains are
+        # decided: never exit 4 (RecursionError), never a false UNSAT
         for unit, depth in (("<>", 250), ("<>", 400), ("Er <>", 200), ("Er <>", 400)):
-            code, _, _ = run(["sat", unit * depth + "p"])
-            assert code in (0, 3, 4)
+            assert run(["sat", unit * depth + "p"]) == (0, "SAT\n", "")
+        text = "<>" * 3000 + "p & " + "[]" * 3000 + "!p"
+        assert run(["sat", text]) == (1, "UNSAT\n", "")
 
     def test_deeply_parenthesized_atom(self, tmp_path):
         fpath = tmp_path / "f.txt"
@@ -255,6 +256,13 @@ class TestCheck:
         )
         assert run(["check", "--model", mpath, "--formula", "[]p"]) == (0, "TRUE\n", "")
         assert run(["check", "--model", mpath, "--formula", "[]p & <>!p"]) == (1, "FALSE\n", "")
+
+    def test_deep_nesting_on_a_self_loop(self, tmp_path):
+        mpath = write_model(
+            tmp_path, transitions=[["s", "s"]], valuation={"s": ["p"]}, point="s"
+        )
+        assert run(["check", "--model", mpath, "--formula", "[]" * 2000 + "p"]) == (0, "TRUE\n", "")
+        assert run(["check", "--model", mpath, "--formula", "<>" * 2000 + "!p"]) == (1, "FALSE\n", "")
 
 
 class TestOracle:

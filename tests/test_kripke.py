@@ -291,3 +291,11 @@ class TestSerialization:
         assert dot.startswith("digraph")
         assert '"a" -> "b";' in dot
         assert "peripheries=2" in dot
+        # a quote or backslash in a state name is escaped in IDs and labels
+        m = KripkeModel(['a"b', "c\\d"], [('a"b', "c\\d")], {'a"b': ["p"]})
+        assert to_dot(m, point='a"b').splitlines()[1:] == [
+            '  "a\\"b" [label="a\\"b\\n{p}" peripheries=2];',
+            '  "c\\\\d" [label="c\\\\d\\n{}"];',
+            '  "a\\"b" -> "c\\\\d";',
+            "}",
+        ]

@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 import signal
@@ -163,6 +164,16 @@ class TestDeterminism:
         assert a.trace == b.trace
         assert a.models.to_dict() == b.models.to_dict()
         assert a.stats == b.stats
+
+    def test_stream_alone_turns_tracing_on(self):
+        # a trace_out stream without trace=True gets the lines trace=True records
+        f = parse("p & (q | !p)")
+        out = io.StringIO()
+        streamed = sat(f, SolverOptions(trace_out=out))
+        traced = sat(f, SolverOptions(trace=True))
+        assert traced.trace
+        assert out.getvalue() == "".join(line + "\n" for line in traced.trace)
+        assert streamed.trace == traced.trace
 
 
 class TestLazyModels:
