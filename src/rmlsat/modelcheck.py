@@ -24,7 +24,7 @@ child with one context, the first choice points on the stack that also
 holds the leaf's diamond and quantifier children.  The checker's
 activations are generators run from the engine's one explicit stack,
 like those of satisfiability, so deep nesting costs no Python stack:
-`[]`x2,000 `p` is decided on a one-state loop.
+2,000 nested `[]` over `p` are decided on a one-state loop.
 
 The fresh-prefix mapping discipline is applied at every model prefix,
 with prefix-1 assignments constrained by the model's transitions.  Two
