@@ -67,6 +67,18 @@ def wide_instances():
     ]
 
 
+def deep_instances():
+    """Formula texts whose witness chains are deep or long: models and
+    states many prefix steps below the root."""
+    xs = [f"x{i}" for i in range(30)]
+    return [
+        "Er <>" * 40 + "p",
+        "<>" * 200 + "p",
+        "Er " * 60 + "p",
+        _conj([f"Er <>{x}" for x in xs] + ["[]q"]),
+    ]
+
+
 def star_model():
     """A centre c with seven successors s0..s6; some leaves step on to
     the next leaf or back to c.  Boxes at c fan out to seven BOX1 children
@@ -148,6 +160,10 @@ def compute():
         h = hashlib.sha256()
         _sat_record(h, parse(text))
         out[f"wide_{name}"] = h.hexdigest()
+    h = hashlib.sha256()
+    for text in deep_instances():
+        _sat_record(h, parse(text))
+    out["witness_deep"] = h.hexdigest()
     return out
 
 

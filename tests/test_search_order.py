@@ -3,7 +3,8 @@
 The golden file holds hashes of the trace lines, statistics and verdicts
 (and `sat` witnesses) over the size-6 sweep, `check` on every pointed
 model with at most two states, `check` on a star model with seven
-successors and a list of wide instances; see
+successors, a list of wide instances and the witnesses of deep
+instances; see
 `search_order.py`.  An engine change that keeps the search order keeps
 every hash.
 """

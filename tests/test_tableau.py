@@ -181,6 +181,24 @@ class TestExtraction:
         with pytest.raises(Clash):
             extract_models(Branch([entry([1], [1], "p"), entry([1], [1], "!p")]))
 
+    def test_repeated_last_index(self):
+        # 1.2 and 1.3.2 end in the same index, and so do 1 and a first
+        # fresh prefix 1.1: states are whole prefixes, not last indices
+        chain = extract_models(Branch([
+            entry([1], [1], "<>p & <><>q"),
+            entry([1], [1], "<>p"),
+            entry([1], [1], "<><>q"),
+            entry([1], [1, 2], "p"),
+            entry([1], [1, 3], "<>q"),
+            entry([1], [1, 3, 2], "q"),
+        ]))
+        assert len(chain) == 1
+        root = chain.root()
+        assert root.model.states == ("1", "1.2", "1.3", "1.3.2")
+        assert sorted(root.model.transitions) == [("1", "1.2"), ("1", "1.3"), ("1.3", "1.3.2")]
+        assert [s for s in root.model.states if "q" in root.model.valuation[s]] == ["1.3.2"]
+        assert root.model.valuation["1.2"] == frozenset(["p"])
+
     def test_chain_round_trip(self):
         res = sat(parse("Er <>p"))
         d = res.models.to_dict(formula_text="Er <>p")
