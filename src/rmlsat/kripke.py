@@ -404,7 +404,7 @@ def pointed_from_dict(d):
 def model_to_dict(m, point=None):
     d = {
         "states": list(m.states),
-        "transitions": [list(p) for p in sorted(m.transitions)],
+        "transitions": [[s, t] for s in m.states for t in m._succ[s]],
         "valuation": {s: sorted(m.valuation[s]) for s in m.states},
     }
     if point is not None:

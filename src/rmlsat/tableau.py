@@ -34,9 +34,15 @@ successor prefixes sigma.i occurring under a model prefix extending mu,
 and from (mu, sigma, body) to its dia witnesses (mu, sigma.i, body) and
 exr witnesses (mu.m, sigma, body).  Each of these three maps is built in
 one pass over the entries the first time a lookup needs it.  The side
-conditions of dia, exr and box, the completeness check and model reading
-look entries up there instead of scanning the branch, so checking and
-reading a branch of n entries costs O(n) for a bounded quantifier depth.
+conditions of dia, exr and box and the completeness check look entries
+up there instead of scanning the branch.
+
+Model reading makes one pass over the entries, giving each distinct
+state prefix a small id, and then does work proportional to the chain
+it returns: its cost is linear in the entries plus the size of that
+chain.  The chain itself can outgrow the branch: a model holds the
+states of all its refinements, and a state's name is its full prefix,
+so the witness JSON grows with depth times states.
 """
 
 from dataclasses import dataclass, field
@@ -79,7 +85,7 @@ class ChoiceForbidden(Exception):
 
 
 def render_prefix(p):
-    return ".".join(str(i) for i in p)
+    return ".".join(map(str, p))
 
 
 def parse_prefix(text):
@@ -354,11 +360,14 @@ class ModelChain:
         The relation maps each state of the child model to the parent
         state carrying the same state prefix.
         """
+        by_prefix = {cm.prefix: cm for cm in self.chain}
         out = []
         for cm in self.chain:
             if len(cm.prefix) <= 1:
                 continue
-            parent = self.lookup(cm.prefix[:-1])
+            parent = by_prefix.get(cm.prefix[:-1])
+            if parent is None:
+                raise KeyError(render_prefix(cm.prefix[:-1]))
             rel = RefinementRelation((s, s) for s in cm.model.states)
             out.append((parent, cm, rel))
         return out
@@ -408,39 +417,70 @@ def _check_acceptance(branch):
 
 
 def _read_models(branch):
-    """The model chain of a branch that _check_acceptance has passed."""
-    succ = branch._successors()
+    """The model chain of a branch that _check_acceptance has passed.
+
+    One pass over the entries gives each distinct state prefix an id and
+    collects each model prefix's own state ids, the atoms at model
+    prefix 1 and each model's point.  The rest costs what the chain
+    written costs.  States are keyed by whole prefixes: 1.2 and 1.3.2
+    share a last index but are different states.
+    """
     exr = branch._exr_children()
-    entries = branch.entries
+    ids = {}  # state prefix -> id, in first-occurrence order
+    own = {}  # model prefix -> ids of the state prefixes its entries carry
     atoms_at = {}
     anchors = {(1,): (1,)}
-    states = {}  # mu -> the state prefixes occurring with a model prefix extending mu
-    for mu, sigma, f in entries:
-        for k in range(1, len(mu) + 1):
-            states.setdefault(mu[:k], set()).add(sigma)
+    for mu, sigma, f in branch._order:
+        i = ids.get(sigma)
+        if i is None:
+            i = ids[sigma] = len(ids)
+        ss = own.get(mu)
+        if ss is None:
+            ss = own[mu] = set()
+        ss.add(i)
         if mu == (1,) and isinstance(f, Atom):
-            atoms_at.setdefault(sigma, set()).add(f.name)
+            atoms_at.setdefault(i, set()).add(f.name)
         elif isinstance(f, ExistsR):
             # a model's point is the state of the first Er entry it witnesses
             for child in exr.get((mu, sigma, f.body), ()):
                 anchors.setdefault(child, sigma)
 
-    names = {}
+    # Each state's parent id and name, shortest prefix first, so that a
+    # name extends its parent's.  A prefix whose parent does not occur
+    # (only on a hand-built branch) has no parent and is named in full.
+    prefixes = list(ids)
+    parent = [None] * len(prefixes)
+    names = [None] * len(prefixes)
+    for i in sorted(range(len(prefixes)), key=lambda i: len(prefixes[i])):
+        sigma = prefixes[i]
+        p = parent[i] = ids.get(sigma[:-1])
+        names[i] = render_prefix(sigma) if p is None else f"{names[p]}.{sigma[-1]}"
+
+    # Each model's states, bottom-up: its own entries' states and those of
+    # its child models.  A model prefix with no entries of its own (only on
+    # a hand-built branch) still passes its children's states upward.
+    states = dict(own)
+    for mu in own:
+        up = mu[:-1]
+        while up and up not in states:
+            states[up] = set()
+            up = up[:-1]
+    for mu in sorted(states, key=len, reverse=True):
+        if len(mu) > 1:
+            states[mu[:-1]] |= states[mu]
+
+    # The transitions of a model join each of its states to each of its
+    # states one index longer: (parent(i), i) with both in the set.
     chain = []
-    for mu in sorted({e[0] for e in entries}):
-        sigmas = sorted(states[mu])
-        for s in sigmas:
-            if s not in names:
-                names[s] = render_prefix(s)
-        transitions = [
-            (names[s], names[t]) for s in sigmas for t in sorted(succ.get((mu, s), ()))
-        ]
-        valuation = {names[s]: atoms_at.get(s, set()) for s in sigmas}
-        anchor = anchors.get(mu, sigmas[0])
+    for mu in sorted(own):
+        ss = states[mu]
+        transitions = [(names[parent[i]], names[i]) for i in ss if parent[i] in ss]
+        valuation = {names[i]: atoms_at[i] for i in ss if i in atoms_at}
+        anchor = anchors.get(mu) or min(prefixes[i] for i in ss)
         chain.append(
             ChainModel(
                 mu,
-                KripkeModel([names[s] for s in sigmas], transitions, valuation),
+                KripkeModel([names[i] for i in ss], transitions, valuation),
                 render_prefix(anchor),
             )
         )
