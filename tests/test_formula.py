@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from rmlsat import gen
@@ -9,11 +12,13 @@ from rmlsat.formula import (
     Diamond,
     ExistsR,
     ForallR,
+    Formula,
     FragmentViolation,
     NegAtom,
     Not,
     Or,
     ParseError,
+    _tokenize,
     atoms,
     children,
     in_existential_fragment,
@@ -26,7 +31,7 @@ from rmlsat.formula import (
     subformulas,
 )
 from rmlsat.kripke import KripkeModel, PointedModel
-from rmlsat.modelcheck import check
+from rmlsat.modelcheck import check, parse_const
 from rmlsat.oracle import oracle_eval, oracle_sat
 from rmlsat.solver import sat
 
@@ -98,6 +103,76 @@ class TestParse:
 
     def test_whitespace_insignificant(self):
         assert parse(" Er\t<> p ") == parse("Er<>p")
+
+
+UNARY = ("atom", "!", "<>", "[]", "Er", "Ar", "(")
+INFIX = ("&", "|", "end of input")
+# every outcome of the digest test below; a parser change that keeps them keeps it
+PARSE_DIGEST = "a8b7acceadda0b6ddf852b6b15401eacb04b3fd74ef678785d5c43886d0a2b50"
+
+
+class TestParseErrors:
+    """Exact message, offset and expected set of each error.  A lexical
+    error anywhere in the text wins over a syntax error before it."""
+
+    @pytest.mark.parametrize(
+        "text, message, offset, expected",
+        [
+            ("p p $", "unexpected character '$'", 4, UNARY),
+            ("p &", "expected a formula", 3, UNARY),
+            ("!<>p", "negation applies only to atoms", 1, ("atom",)),
+            ("Erx", "invalid identifier 'Erx'", 0, ("atom",)),
+            ("<p", "unexpected character '<'", 0, UNARY),
+            ("p\f", "unexpected character '\\x0c'", 1, UNARY),
+            ("p)", "unexpected ')'", 1, INFIX),
+            ("(p", "unbalanced parenthesis", 2, (")",)),
+            ("", "expected a formula", 0, UNARY),
+        ],
+    )
+    def test_table(self, text, message, offset, expected):
+        parsers = (parse,) if text.startswith("!") else (parse, parse_general)
+        for fn in parsers:
+            with pytest.raises(ParseError) as err:
+                fn(text)
+            assert (err.value.message, err.value.offset, err.value.expected) == (
+                message,
+                offset,
+                expected,
+            )
+
+    def test_general_negation_of_a_diamond(self):
+        assert render(parse_general("!<>p")) == "!(<>p)"
+
+    def test_const_grammar(self):
+        with pytest.raises(ParseError) as err:
+            parse_const("<> top & p")
+        assert (err.value.message, err.value.offset) == (
+            "unexpected 'p' in a variable-free formula",
+            9,
+        )
+
+    def test_outcome_digest(self):
+        """SHA-256 of what parse, parse_general, _tokenize and parse_const
+        give on 20,000 seeded random strings: the rendered formula, the
+        token list or constant tuple, or the error's message, offset and
+        expected set."""
+        good = ["p", "q", "top", "bot", "x_1", "<>", "[]", "Er ", "Ar ", "!"]
+        good += ["&", "|", "(", ")", " "]
+        bad = ["$", "<", "[", "]", ">", "\u00e9", "\f", "\t", "\n", "Erx", "P", "Er", "1", "_"]
+        rng = random.Random(12)
+        digest = hashlib.sha256()
+        for n in range(20_000):
+            pieces = good * 4 + bad if n % 2 else good
+            text = "".join(rng.choice(pieces) for _ in range(rng.randrange(12)))
+            for fn in (parse, parse_general, _tokenize, parse_const):
+                try:
+                    out = fn(text)
+                except ParseError as e:
+                    out = (e.message, e.offset, e.expected)
+                if isinstance(out, Formula):
+                    out = render(out)
+                digest.update(repr(out).encode() + b"\n")
+        assert digest.hexdigest() == PARSE_DIGEST
 
 
 class TestRender:
