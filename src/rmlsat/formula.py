@@ -27,8 +27,11 @@ The nine node classes sit on three arity bases, ``_Leaf(name)``,
 ``_Unary(body)`` and ``_Binary(left, right)``, which own construction,
 hashing and equality; a node class adds only its hash tag and its
 rendered operator.  The parser is one operator-precedence loop with an
-explicit operator stack, and every walker here is a loop, so formulas
-of any depth parse, compare, render and normalize without recursion.
+explicit operator stack over the token strings of one regex scan.  It
+finds token offsets only when it raises a :class:`ParseError`, and then
+a lexical error anywhere in the text comes first.  Every walker here is
+a loop, so formulas of any depth parse, compare, render and normalize
+without recursion.
 """
 
 import re
@@ -379,96 +382,85 @@ def normalize(g, require_existential=True):
 
 # --- parsing ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"[ \t\r\n]*(?:"
-    r"(?P<word>[A-Za-z][A-Za-z0-9_]*)"
-    r"|(?P<dia><>)"
-    r"|(?P<box>\[\])"
-    r"|(?P<bang>!)"
-    r"|(?P<amp>&)"
-    r"|(?P<pipe>\|)"
-    r"|(?P<lp>\()"
-    r"|(?P<rp>\))"
-    r")"
-)
-_WS_RE = re.compile(r"[ \t\r\n]*")
+_TOKEN_RE = re.compile(r"[ \t\r\n]*([A-Za-z][A-Za-z0-9_]*|<>|\[\]|[^ \t\r\n])")
+_KINDS = {"<>": "dia", "[]": "box", "Er": "er", "Ar": "ar", "!": "bang", "&": "amp"}
+_KINDS.update({"|": "pipe", "(": "lp", ")": "rp"})
 
 _UNARY_EXPECTED = ("atom", "!", "<>", "[]", "Er", "Ar", "(")
 
 
 def _tokenize(text):
+    """(kind, value, offset) per token, then ("eof", "", len(text)); raises
+    the first lexical error: a bad character or a word that is no atom."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            ws = _WS_RE.match(text, pos)
-            at = ws.end()
-            if at >= len(text):
-                break
-            raise ParseError(f"unexpected character {text[at]!r}", at, _UNARY_EXPECTED)
-        kind = m.lastgroup
-        value = m.group(kind)
-        offset = m.end() - len(value)
-        if kind == "word":
-            if value == "Er":
-                kind = "er"
-            elif value == "Ar":
-                kind = "ar"
-            elif _ATOM_RE.fullmatch(value):
+    for m in _TOKEN_RE.finditer(text):
+        value, offset = m.group(1), m.start(1)
+        kind = _KINDS.get(value)
+        if kind is None:
+            if _ATOM_RE.fullmatch(value):
                 kind = "atom"
-            else:
+            elif value.isascii() and value[0].isalpha():
                 raise ParseError(f"invalid identifier {value!r}", offset, ("atom",))
+            else:
+                raise ParseError(f"unexpected character {value!r}", offset, _UNARY_EXPECTED)
         tokens.append((kind, value, offset))
-        pos = m.end()
     tokens.append(("eof", "", len(text)))
     return tokens
 
 
-_PREFIX = {"dia": Diamond, "box": Box, "er": ExistsR, "ar": ForallR, "bang": Not}
-_PREFIX_OPS = frozenset(_PREFIX.values())
+def _error(text, i, message, expected):
+    """The ParseError at token i, unless the text holds a lexical error
+    anywhere, which :func:`_tokenize` raises first."""
+    return ParseError(message, _tokenize(text)[i][2], expected)
+
+
+_PREFIX = {"<>": Diamond, "[]": Box, "Er": ExistsR, "Ar": ForallR}
+_PREFIX_OPS = frozenset((*_PREFIX.values(), Not))
 
 
 def _parse(text, general):
-    """One operator-precedence loop over the tokens.  ``ops`` holds the
-    pending prefix operators, connectives and None for each open "(";
-    ``args`` holds the left operands of the pending connectives."""
-    tokens = _tokenize(text)
+    """One operator-precedence loop over the token strings of one regex
+    scan, "" marking the end.  ``ops`` holds the pending prefix operators,
+    connectives and None for each open "("; ``args`` holds the left
+    operands of the pending connectives."""
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
     ops, args = [], []
     i = 0
     while True:
         # operand position: prefix operators and "(" until an atom
-        kind, value, offset = tokens[i]
+        t = tokens[i]
         i += 1
-        if kind in _PREFIX and (general or kind != "bang"):
-            ops.append(_PREFIX[kind])
+        op = _PREFIX.get(t)
+        if op is not None:
+            ops.append(op)
             continue
-        if kind == "lp":
+        if t == "(":
             ops.append(None)
             continue
-        if kind == "atom":
-            f = Atom(value)
-        elif kind == "bang":
-            kind, value, offset = tokens[i]
-            if kind != "atom":
-                raise ParseError("negation applies only to atoms", offset, ("atom",))
+        if t == "!":
+            if general:
+                ops.append(Not)
+                continue
+            t = tokens[i]
             i += 1
-            f = NegAtom(value)
+            if not _ATOM_RE.fullmatch(t):
+                raise _error(text, i - 1, "negation applies only to atoms", ("atom",))
+            f = NegAtom(t)
+        elif _ATOM_RE.fullmatch(t):
+            f = Atom(t)
         else:
-            raise ParseError(
-                "expected a formula" if kind == "eof" else f"unexpected {value!r}",
-                offset,
-                _UNARY_EXPECTED,
-            )
+            message = f"unexpected {t!r}" if t else "expected a formula"
+            raise _error(text, i - 1, message, _UNARY_EXPECTED)
         # operator position: apply the pending prefixes, then read "&", "|",
         # ")" or the end; "&" binds tighter than "|", both associate left
         while True:
             while ops and ops[-1] in _PREFIX_OPS:
                 f = ops.pop()(f)
-            kind, value, offset = tokens[i]
+            t = tokens[i]
             i += 1
-            if kind == "amp" or kind == "pipe":
-                op = And if kind == "amp" else Or
+            if t == "&" or t == "|":
+                op = And if t == "&" else Or
                 while ops and (ops[-1] is And or ops[-1] is op):
                     f = ops.pop()(args.pop(), f)
                 args.append(f)
@@ -477,11 +469,11 @@ def _parse(text, general):
             while ops and ops[-1] is not None:
                 f = ops.pop()(args.pop(), f)
             if not ops:
-                if kind != "eof":
-                    raise ParseError(f"unexpected {value!r}", offset, ("&", "|", "end of input"))
+                if t:
+                    raise _error(text, i - 1, f"unexpected {t!r}", ("&", "|", "end of input"))
                 return f
-            if kind != "rp":
-                raise ParseError("unbalanced parenthesis", offset, (")",))
+            if t != ")":
+                raise _error(text, i - 1, "unbalanced parenthesis", (")",))
             ops.pop()
 
 
