@@ -52,10 +52,12 @@ class KripkeModel:
 
     states are opaque strings; transitions is any iterable of (from, to)
     pairs over them; valuation maps states to iterables of atom names
-    (missing states get the empty set).
+    (missing states get the empty set).  The node form of
+    :func:`graph_nodes` is built on first use and kept in ``_nodes``,
+    which equality and hashing ignore.
     """
 
-    __slots__ = ("states", "transitions", "valuation", "_succ")
+    __slots__ = ("states", "transitions", "valuation", "_succ", "_nodes")
 
     def __init__(self, states, transitions, valuation=None):
         self.states = tuple(sorted(set(states)))
@@ -77,6 +79,7 @@ class KripkeModel:
         for s, t in sorted(trans):
             succ[s].append(t)
         self._succ = {s: tuple(ts) for s, ts in succ.items()}
+        self._nodes = None
 
     def successors(self, s):
         try:
@@ -228,10 +231,13 @@ def is_bisimilar(a, b):
 
 def graph_nodes(m):
     """{state: node} for the states of m, each labelled by its valuation.
-    Successor lists follow m.successors and may form cycles."""
-    nodes = {s: (m.valuation[s], []) for s in m.states}
-    for s, (_, succ) in nodes.items():
-        succ.extend(nodes[t] for t in m._succ[s])
+    Successor lists follow m.successors and may form cycles.  The first
+    call builds the nodes and keeps them on m; later calls return them."""
+    nodes = m._nodes
+    if nodes is None:
+        nodes = m._nodes = {s: (m.valuation[s], []) for s in m.states}
+        for s, (_, succ) in nodes.items():
+            succ.extend(nodes[t] for t in m._succ[s])
     return nodes
 
 

@@ -173,6 +173,16 @@ class TestUnravel:
         assert unravel_node(nodes["a"], 3, memo) is tree
         assert len(unravel(PointedModel(full, "a"), 3).model.states) == 1 + 2 + 4 + 8
 
+    def test_node_form_built_once_per_model(self):
+        m = KripkeModel(["a", "b"], [("a", "b")], {"b": ["p"]})
+        twin = KripkeModel(["a", "b"], [("a", "b")], {"b": ["p"]})
+        nodes = graph_nodes(m)
+        assert graph_nodes(m) is nodes
+        assert nodes["a"][1][0] is nodes["b"]
+        # the kept nodes take no part in equality or hashing
+        assert m == twin and hash(m) == hash(twin)
+        assert graph_nodes(twin) is not nodes
+
 
 class TestRootRestrictions:
     def test_counts(self):
