@@ -115,6 +115,35 @@ def star_instances():
     return [(pt, text) for pt in ("c", "s0", "s3") for text in formulas]
 
 
+def pinning_instances():
+    """(pointed model, formula text): where a state prefix is pinned, and
+    which activation covers the successors the boxes at model prefix 1
+    speak about.  On u -> v a literal rejected at v follows an entry
+    already added at the fresh prefix; at the star's centre quantifier
+    children inherit boxes whose successors their parent already covers;
+    on the 2-cycle a <-> b every level mixes BOX1 and diamond children at
+    states that differ."""
+    uv = KripkeModel(["u", "v"], [("u", "v")], {"v": ["p"]})
+    uv_formulas = [
+        "Er (<>(p & p) & []!p)",
+        "Er (<>(p & p) & []p)",
+        "<>(p & p) & []!p",
+        "Er (<>p & []!p)",
+        "Er (<>(p & p) & [](!p | q))",
+    ]
+    out = [(PointedModel(uv, pt), text) for pt in ("u", "v") for text in uv_formulas]
+    star = PointedModel(star_model(), "c")
+    for text in (
+        "Er <>p & [](q | !q)",
+        "Er (<>p & <>!q) & [](q | !q)",
+        "Er Er <>p & [](q | !q)",
+    ):
+        out.append((star, text))
+    cycle = PointedModel(KripkeModel(["a", "b"], [("a", "b"), ("b", "a")], {"a": ["p"]}), "a")
+    out += [(cycle, "<>[]" * 200 + "p"), (cycle, "<>[]" * 200 + "<>p")]
+    return out
+
+
 def _sat_record(h, f):
     r = sat(f, SolverOptions(trace=True))
     for line in r.trace:
@@ -156,6 +185,10 @@ def compute():
     for pt, text in star_instances():
         _check_record(h, PointedModel(m, pt), parse(text))
     out["check_star"] = h.hexdigest()
+    h = hashlib.sha256()
+    for a, text in pinning_instances():
+        _check_record(h, a, parse(text))
+    out["check_pinning"] = h.hexdigest()
     for name, text in wide_instances():
         h = hashlib.sha256()
         _sat_record(h, parse(text))

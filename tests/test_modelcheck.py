@@ -3,11 +3,13 @@ import random
 import pytest
 
 import modelgen
+import search_order
 from rmlsat import gen
 from rmlsat.formula import FragmentViolation, parse, render
 from rmlsat.kripke import KripkeModel, PointedModel, greatest_refinement
 from rmlsat.modelcheck import (
     InvalidInput,
+    _CheckEngine,
     check,
     enumerate_const_formulas,
     lower_const,
@@ -16,7 +18,7 @@ from rmlsat.modelcheck import (
     render_const,
 )
 from rmlsat.oracle import oracle_eval
-from rmlsat.solver import sat
+from rmlsat.solver import SolverOptions, sat
 
 
 def pm(states, transitions, valuation, point):
@@ -75,6 +77,39 @@ class TestCheck:
                 for f in formulas:
                     if check(b, f):
                         assert check(a, f), render(f)
+
+
+def traced_check(a, text):
+    """(verdict, trace lines, stats summary) of check(a, text)."""
+    engine = _CheckEngine(SolverOptions(trace=True), a)
+    got = engine.solve([((1,), (1,), parse(text))], (1,), frozenset())
+    return got is not None, engine.trace, engine.stats.summary()
+
+
+class TestStatePinning:
+    def test_quantifier_children_add_no_box1(self):
+        # the seven BOX1 children at c belong to the root; the two nested
+        # quantifier children share prefix 1 and add none of their own
+        a = PointedModel(search_order.star_model(), "c")
+        verdict, trace, _ = traced_check(a, "Er Er <>p & [](q | !q)")
+        assert verdict is True
+        assert sum(line.startswith("BOX1 ") for line in trace) == 7
+        assert sum(line.startswith("EXR ") for line in trace) == 2
+
+    def test_entry_before_a_rejected_literal_counts(self):
+        # the diamond child at v adds (p & p) at the fresh prefix before
+        # !p is rejected there, so the longest state prefix has length 2
+        a = pm(["u", "v"], [("u", "v")], {"v": ["p"]}, "u")
+        verdict, _, summary = traced_check(a, "Er (<>(p & p) & []!p)")
+        assert verdict is False
+        assert "max_sigma_len=2" in summary.split()
+
+    def test_deep_mixed_children_on_a_two_cycle(self):
+        # every level has a diamond child and a BOX1 child, pinned to
+        # states that alternate between a (p) and b (no p)
+        a = pm(["a", "b"], [("a", "b"), ("b", "a")], {"a": ["p"]}, "a")
+        assert check(a, parse("<>[]" * 1000 + "p")) is True
+        assert check(a, parse("<>[]" * 1000 + "<>p")) is False
 
 
 class TestReduction:

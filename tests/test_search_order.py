@@ -3,8 +3,8 @@
 The golden file holds hashes of the trace lines, statistics and verdicts
 (and `sat` witnesses) over the size-6 sweep, `check` on every pointed
 model with at most two states, `check` on a star model with seven
-successors, a list of wide instances and the witnesses of deep
-instances; see
+successors, `check` where state pinning and BOX1 coverage matter, a
+list of wide instances and the witnesses of deep instances; see
 `search_order.py`.  An engine change that keeps the search order keeps
 every hash.
 """
