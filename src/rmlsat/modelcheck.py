@@ -3,34 +3,36 @@
 The satisfiability engine runs unchanged except that state prefixes are
 pinned to states of the checked model:
 
-- prefix 1 is mapped to the checked point;
+- prefix 1 is pinned to the checked point;
 - when a diamond introduces a fresh successor prefix under a prefix
-  mapped to v, the new prefix is mapped to some state reachable from v
-  (one backtracking choice per successor, tried in state order);
+  pinned to v, the new prefix is pinned to some successor of v (one
+  backtracking choice per successor, tried in state order);
 - every literal entry must hold in the model at the state its prefix is
-  mapped to, else the branch rejects;
+  pinned to, else the branch rejects;
 - box entries at model prefix 1 speak about the real model, so an extra
-  expansion gives every not-yet-covered successor of the current state a
-  fresh mapped prefix carrying all prefix-1 box bodies.  It runs eagerly
-  right after saturation: its side condition only shrinks, so this
-  cannot lose branches.
+  expansion (BOX1) gives every successor of the current state a fresh
+  pinned prefix carrying all prefix-1 box bodies.  It runs eagerly
+  right after saturation, so it cannot lose branches.
 
-The checker's engine overrides three engine hooks and _add: the
-initial context pins prefix 1, the target contexts of a fresh successor
-prefix are its state's successors, and _box1_targets returns the data
-of the extra expansion, the boxes at model prefix 1 and the successors
-not yet covered.  The engine turns each such successor into a BOX1
-child with one context, the first choice points on the stack that also
-holds the leaf's diamond and quantifier children.  The checker's
-activations are generators run from the engine's one explicit stack,
-like those of satisfiability, so deep nesting costs no Python stack:
-2,000 nested `[]` over `p` are decided on a one-state loop.
+Every entry of a check activation sits at the activation's own state
+prefix, so the engine passes each activation just that prefix's state.
+BOX1 runs once per state prefix, in the activation that introduced it
+(the root, a BOX1 child or a diamond child), and covers every successor
+there.  A quantifier child shares its parent's state prefix and adds no
+BOX1 child: saturation adds only literals at model prefix 1, so its
+boxes there are its parent's, which the parent's BOX1 children already
+carry to every successor.  Two fresh prefixes at the same state may be
+pinned to the same model state.
 
-The fresh-prefix mapping discipline is applied at every model prefix,
-with prefix-1 assignments constrained by the model's transitions.  Two
-fresh prefixes at the same state may map to the same model state;
-nothing forbids it, and the extra-expansion side condition (no already
-mapped sibling) constrains only that expansion itself.
+The checker's engine sets the engine's point and overrides _add and two
+hooks: the target states of a fresh successor prefix are its state's
+successors, and _box1_targets returns the boxes at model prefix 1 and
+every successor of the state, each made a BOX1 child, the first choice
+points on the stack that also holds the leaf's diamond and quantifier
+children.  Activations run from the engine's one explicit stack, so
+deep nesting costs no Python stack: 10,000 nested `<>` or `[]` over `p`
+are decided on a one-state loop, in time and memory that grow with the
+state prefixes, each a tuple of its whole path.
 
 This module also builds the classic hardness instance: satisfiability
 of a variable-free basic modal formula psi reduces to checking
@@ -61,7 +63,7 @@ from .formula import (
     render,
 )
 from .kripke import KripkeModel, PointedModel
-from .solver import SolverOptions, _Engine
+from .solver import _Engine
 
 __all__ = [
     "check",
@@ -82,22 +84,19 @@ class _CheckEngine(_Engine):
     def __init__(self, opts, pointed):
         super().__init__(opts)
         self.m = pointed.model
-        self.u = pointed.point
+        self.point = pointed.point
 
-    def _initial_ctx(self):
-        return {(1,): self.u}
-
-    def _add(self, P, order, adds, ctx):
-        """The engine's _add, but a new literal entry must hold at the state
-        its prefix is pinned to: False, after the reject, if it does not."""
+    def _add(self, P, order, adds, state):
+        """The engine's _add, but a new literal entry must hold at state:
+        False, after the reject, if it does not."""
         st = self.stats
-        valuation = self.m.valuation
+        true_atoms = self.m.valuation[state]
         for a in adds:
             if a in P:
                 continue
             f = a[2]
             t = type(f)
-            if (t is Atom or t is NegAtom) and (f.name in valuation[ctx[a[1]]]) != (t is Atom):
+            if (t is Atom or t is NegAtom) and (f.name in true_atoms) != (t is Atom):
                 self._reject_literal(a)
                 return False
             P[a] = len(order)
@@ -110,18 +109,14 @@ class _CheckEngine(_Engine):
             st.max_p_size = len(P)
         return True
 
-    def _dia_contexts(self, sigma, sigma_i, ctx):
-        return [{**ctx, sigma_i: a} for a in self.m.successors(ctx[sigma])]
+    def _successor_states(self, state):
+        return self.m.successors(state)
 
-    def _box1_targets(self, sigma, boxes, ctx):
+    def _box1_targets(self, boxes, state):
         # boxes holds the boxes at sigma, and every entry of a check
         # activation sits at sigma, so it holds every box at model prefix 1
         boxes1 = [e for e in boxes if e[0] == (1,)]
-        if not boxes1:
-            return boxes1, ()
-        n = len(sigma)
-        covered = {ctx[s] for s in ctx if len(s) == n + 1 and s[:n] == sigma}
-        return boxes1, [t for t in self.m.successors(ctx[sigma]) if t not in covered]
+        return boxes1, self.m.successors(state) if boxes1 else ()
 
 
 def check(a, f, opts=None):
@@ -131,7 +126,7 @@ def check(a, f, opts=None):
     when the options' budgets run out.
     """
     check_fragment(f)
-    engine = _CheckEngine(opts or SolverOptions(), a)
+    engine = _CheckEngine(opts, a)
     return engine.solve([((1,), (1,), f)], (1,), frozenset()) is not None
 
 

@@ -30,7 +30,7 @@ the processed marks M, an activation:
    successor prefix holding the diamond body plus every box body
    recorded at an ancestor prefix of nu, run with an empty mark set
    (only its first success is taken; its alternatives are its target
-   contexts), then for each unprocessed refinement quantifier a child
+   states), then for each unprocessed refinement quantifier a child
    activation at a fresh model prefix on the ancestor-prefix slice of
    P, passing the current marks (its alternatives are its accepted
    completions).  The literal results a quantifier child's completion
@@ -55,12 +55,13 @@ union of all triples produced along an accepted path is a complete,
 clash-free branch; sat() checks that on every SAT verdict, and reads the
 witness models off it only when a caller asks for them.
 
-The model checker subclasses the engine.  Three hooks cover everything
-it needs to pin state prefixes to concrete model states: the initial
-context, the target contexts of a fresh successor prefix and the data
-of a leaf's BOX1 children (its boxes at model prefix 1 and the
-successor states still to cover).  Its own _add rejects a literal that
-does not hold at its pinned state.
+The model checker subclasses the engine.  Each activation is passed the
+one model state its state prefix is pinned to (None in sat), and only
+one that introduced its state prefix asks for BOX1 children.  The
+checker sets point, the root's state, and overrides _add, which rejects
+a literal that does not hold at the activation's state, and two hooks:
+the target states of a fresh successor prefix, and a leaf's boxes at
+model prefix 1 with the successor states its BOX1 children cover.
 """
 
 import time
@@ -193,6 +194,7 @@ class SatResult:
 class _Engine:
     def __init__(self, opts=None):
         self.opts = opts or SolverOptions()
+        self.point = None  # the model state the root's prefix is pinned to
         self.counter = 1
         self.stats = SearchStats()
         self.trace = [] if self.opts.trace or self.opts.trace_out is not None else None
@@ -205,15 +207,12 @@ class _Engine:
 
     # -- hooks for the model-checking variant ---------------------------------
 
-    def _initial_ctx(self):
-        return None
+    def _successor_states(self, state):
+        """The states to pin a fresh successor prefix of a prefix pinned to
+        state to, tried in order; one unpinned try in sat."""
+        return (None,)
 
-    def _dia_contexts(self, sigma, sigma_i, ctx):
-        """Contexts to try for a fresh successor prefix; one per admissible
-        target state when states are being tracked."""
-        return (ctx,)
-
-    def _box1_targets(self, sigma, boxes, ctx):
+    def _box1_targets(self, boxes, state):
         """(boxes, states): the boxes a BOX1 child at each of the states
         carries, or no states; only the model checker has BOX1 children."""
         return (), ()
@@ -252,7 +251,7 @@ class _Engine:
         self.counter += 1
         return i
 
-    def _add(self, P, order, adds, ctx):
+    def _add(self, P, order, adds, state):
         """Append the adds not yet in P to order and record their positions
         in P, in place.  True: satisfiability admits every literal; the
         model checker's override returns False on one that is
@@ -289,8 +288,7 @@ class _Engine:
         None (it has no more) is popped, and what it yielded is sent to
         its parent.  The rest of the root's search is dropped, so nothing
         ever truncates the P and produced triples it returns."""
-        ctx = self._initial_ctx()
-        stack = [self._activate({}, [], root_entries, frozenset(marks), sigma, 1, ctx)]
+        stack = [self._activate({}, [], root_entries, frozenset(marks), sigma, 1, self.point, True)]
         got = None
         while stack:
             got = stack[-1].send(got)
@@ -301,7 +299,7 @@ class _Engine:
                 got = None
         return got
 
-    def _activate(self, P, order, adds, M, sigma, depth, ctx):
+    def _activate(self, P, order, adds, M, sigma, depth, state, box1):
         """The activation that owns P and order, started by adding adds to
         them: a generator that yields each child activation it needs the
         next completion of (solve sends it back, or None when the child has
@@ -310,7 +308,9 @@ class _Engine:
         is yielded rather than returned because catching StopIteration
         from every exhausted activation costs more.  P and order are
         undone in place on backtracking, so a consumer that keeps either
-        must copy it before resuming the activation.
+        must copy it before resuming the activation.  state is the model
+        state sigma is pinned to (None in sat); only an activation that
+        introduced sigma (box1) has BOX1 children.
 
         P maps each entry to its position in order, the produced triples in
         insertion order.  One loop runs the saturation cursor.  Every entry
@@ -336,8 +336,8 @@ class _Engine:
         Otherwise each child is a choice point on the stack kids:
         (alternatives, rules, premises, conclusions, len(order),
         len(contrib)).  A BOX1 or diamond child draws its fresh successor
-        prefix when pushed; each of its alternatives (target contexts)
-        asks a fresh activation for its first success only.  A quantifier
+        prefix when pushed; each of its alternatives (target states) asks
+        a fresh activation for its first success only.  A quantifier
         child draws its fresh model prefix and creates its activation when
         pushed; rules is None and premises is its model prefix nu, and each
         of its alternatives is that activation's next completion, whose
@@ -345,11 +345,8 @@ class _Engine:
         lists the triples produced so far; it starts out as order itself
         and is copied before the first append to either.  Every alternative
         starts from P, order and contrib truncated back to their lengths
-        when its choice point was pushed.  kctx is the context of the
-        innermost BOX1 or diamond alternative taken, which later children
-        inherit; the entries an or alternative adds keep the activation's
-        own ctx."""
-        if not self._add(P, order, adds, ctx):
+        when its choice point was pushed."""
+        if not self._add(P, order, adds, state):
             yield None
             return
         st = self.stats
@@ -416,18 +413,18 @@ class _Engine:
                     elif t is ExistsR and e not in M:
                         ns.append(e)
                     continue
-                if not add(P, order, adds, ctx):
+                if not add(P, order, adds, state):
                     leaf = False
                     break
                 n = len(order)
             if leaf and clash is not None and not (dias or boxes or ns):
                 self._reject_clash(clash)
             elif leaf:
-                boxes1, targets = self._box1_targets(sigma, boxes, ctx)
+                boxes1, targets = self._box1_targets(boxes, state) if box1 else ((), ())
                 nb = len(targets)
                 nd = nb + len(dias)
                 nk = nd + len(ns)
-                contrib, M2, kctx = order, None, ctx
+                contrib, M2 = order, None
                 kids = []
                 while True:
                     k = len(kids)
@@ -440,15 +437,15 @@ class _Engine:
                         sigma_i = sigma + (self._fresh(),)
                         if k < nb:
                             rules, premises = ("BOX1", "BOX1"), boxes1
-                            contexts = ({**kctx, sigma_i: targets[k]},)
+                            states = (targets[k],)
                         else:
                             e = dias[k - nb]
                             nu = e[0]
                             rules = ("DIA", "BOX")
                             premises = [e] + [b for b in boxes if is_prefix_of(b[0], nu)]
-                            contexts = self._dia_contexts(sigma, sigma_i, kctx)
+                            states = self._successor_states(state)
                         concls = [(x[0], sigma_i, x[2].body) for x in premises]
-                        kids.append((iter(contexts), rules, premises, concls, len(order), len(contrib)))
+                        kids.append((iter(states), rules, premises, concls, len(order), len(contrib)))
                     else:
                         if M2 is None:
                             saturated = (x for x in order if isinstance(x[2], _SATURATED))
@@ -457,12 +454,12 @@ class _Engine:
                         nu = e[0]
                         new_entry = (nu + (self._fresh(),), sigma, e[2].body)
                         self._emit("EXR", e, [new_entry])
-                        # the ancestor-prefix slice of P was admitted under this same
-                        # state pinning, so only the new entry needs the literal check
+                        # the ancestor-prefix slice of P was admitted at this same
+                        # state, so only the new entry needs the literal check
                         child_order = [x for x in order if is_prefix_of(x[0], nu)]
                         childP = {x: j for j, x in enumerate(child_order)}
                         child = self._activate(childP, child_order, (new_entry,), M2, sigma,
-                                               depth + 1, kctx)
+                                               depth + 1, state, False)
                         kids.append((child, None, nu, None, len(order), len(contrib)))
                     # move the innermost child to its next success
                     while kids:
@@ -473,12 +470,12 @@ class _Engine:
                             got = yield alts
                         else:
                             got = None
-                            for kctx in alts:
+                            for state_i in alts:
                                 if tracing:
                                     for i, x in enumerate(premises):
                                         self._emit(rules[i > 0], x, [concls[i]])
                                 got = yield self._activate({}, [], concls, frozenset(),
-                                                           concls[0][1], depth + 1, kctx)
+                                                           concls[0][1], depth + 1, state_i, True)
                                 if got is not None:
                                     break
                         if got is None:
@@ -507,7 +504,7 @@ class _Engine:
                 adds = ((e[0], e[1], e[2].right),)
                 if tracing:
                     self._emit("OR", e, adds)
-                if add(P, order, adds, ctx):
+                if add(P, order, adds, state):
                     break
             else:
                 break
