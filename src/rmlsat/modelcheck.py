@@ -12,7 +12,8 @@ pinned to states of the checked model:
 - box entries at model prefix 1 speak about the real model, so an extra
   expansion (BOX1) gives every successor of the current state a fresh
   pinned prefix carrying all prefix-1 box bodies.  It runs eagerly
-  right after saturation, so it cannot lose branches.
+  right after saturation, before any diamond child is pinned; the box
+  bodies must hold at every successor anyway, so it loses no branch.
 
 Every entry of a check activation sits at the activation's own state
 prefix, so the engine passes each activation just that prefix's state.
