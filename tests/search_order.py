@@ -4,6 +4,8 @@ Each hash covers, per instance in a fixed order, the trace lines, the
 statistics summary and the verdict; for `sat` on SAT also the witness
 JSON that `rmlsat sat --witness` writes.  Any change to which rule fires
 when, to the fresh-index numbering or to witness reading changes a hash.
+One more hash, `branch_entries`, covers every SAT branch's entries in
+order (`SatResult.branch.entries`), over the same `sat` instances.
 
     PYTHONPATH=src python tests/search_order.py          # print the hashes
     PYTHONPATH=src python tests/search_order.py --write  # rewrite the golden file
@@ -26,6 +28,7 @@ from rmlsat.formula import parse, render  # noqa: E402
 from rmlsat.kripke import KripkeModel, PointedModel  # noqa: E402
 from rmlsat.modelcheck import _CheckEngine  # noqa: E402
 from rmlsat.solver import SolverOptions, sat  # noqa: E402
+from rmlsat.tableau import render_entry  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden" / "search_order.json"
 SWEEP_SIZE = 6
@@ -144,7 +147,8 @@ def pinning_instances():
     return out
 
 
-def _sat_record(h, f):
+def _sat_record(h, f, entries):
+    """Hash f's run into h, and its branch entries, in order, into entries."""
     r = sat(f, SolverOptions(trace=True))
     for line in r.trace:
         h.update(line.encode() + b"\n")
@@ -153,6 +157,9 @@ def _sat_record(h, f):
     if r.satisfiable:
         payload = r.models.to_dict(formula_text=render(f))
         h.update(json.dumps(payload, indent=2, sort_keys=True).encode() + b"\n")
+        for e in r.branch.entries:
+            entries.update(render_entry(e).encode() + b"\n")
+        entries.update(b"\n")
 
 
 def _check_record(h, a, f):
@@ -167,10 +174,11 @@ def _check_record(h, a, f):
 def compute():
     """{name: sha256 hex} for every pinned group."""
     out = {}
+    entries = hashlib.sha256()
     for n in range(1, SWEEP_SIZE + 1):
         h = hashlib.sha256()
         for f in gen.formulas_of_size(n, SWEEP_ATOMS):
-            _sat_record(h, f)
+            _sat_record(h, f, entries)
         out[f"sat_size_{n}"] = h.hexdigest()
     formulas = list(gen.enumerate_formulas(CHECK_SIZE, CHECK_ATOMS))
     hashes = {}
@@ -191,12 +199,13 @@ def compute():
     out["check_pinning"] = h.hexdigest()
     for name, text in wide_instances():
         h = hashlib.sha256()
-        _sat_record(h, parse(text))
+        _sat_record(h, parse(text), entries)
         out[f"wide_{name}"] = h.hexdigest()
     h = hashlib.sha256()
     for text in deep_instances():
-        _sat_record(h, parse(text))
+        _sat_record(h, parse(text), entries)
     out["witness_deep"] = h.hexdigest()
+    out["branch_entries"] = entries.hexdigest()
     return out
 
 
