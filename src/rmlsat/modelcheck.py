@@ -25,15 +25,15 @@ boxes there are its parent's, which the parent's BOX1 children already
 carry to every successor.  Two fresh prefixes at the same state may be
 pinned to the same model state.
 
-The checker's engine sets the engine's point and overrides _add and two
-hooks: the target states of a fresh successor prefix are its state's
-successors, and _box1_targets returns the boxes at model prefix 1 and
-every successor of the state, each made a BOX1 child, the first choice
-points on the stack that also holds the leaf's diamond and quantifier
-children.  Activations run from the engine's one explicit stack, so
-deep nesting costs no Python stack: 10,000 nested `<>` or `[]` over `p`
-are decided on a one-state loop, in time and memory that grow with the
-state prefixes, each a tuple of its whole path.
+The checker's engine sets the engine's point and overrides _add, which
+keeps no log (check needs only a verdict, so it builds no list of
+produced triples), and two hooks: a fresh successor prefix's target
+states are its state's successors, and _box1_targets returns the boxes
+at model prefix 1 and every successor of the state, each made a BOX1
+child, the first choice points on the stack that also holds the leaf's
+diamond and quantifier children.  Activations run from one explicit
+stack, so 10,000 nested `<>` or `[]` over `p` are decided on a one-state
+loop, in time and memory that grow with the whole-path state prefixes.
 
 This module also builds the classic hardness instance: satisfiability
 of a variable-free basic modal formula psi reduces to checking
@@ -88,8 +88,8 @@ class _CheckEngine(_Engine):
         self.point = pointed.point
 
     def _add(self, P, order, adds, state):
-        """The engine's _add, but a new literal entry must hold at state:
-        False, after the reject, if it does not."""
+        """The engine's _add without the log, but a new literal entry must
+        hold at state: False, after the reject, if it does not."""
         st = self.stats
         true_atoms = self.m.valuation[state]
         for a in adds:

@@ -5,11 +5,11 @@ state prefix and per quantifier child.  Every activation is a generator,
 and one loop runs them all from one list used as a stack (the current
 path of activations), so nesting costs no Python stack.  One
 activation owns one P, which maps each triple to its position in the
-activation's insertion order (the produced triples), and keeps one
-branch at a time: every choice point remembers how far P and its
-buckets reach and truncates them back before the next alternative (an
-undo trail), so P is never copied.  Given P, the current prefixes and
-the processed marks M, an activation:
+activation's insertion order, and keeps one branch at a time: every
+choice point remembers how far P, its buckets and the run's log reach
+and truncates them back before the next alternative (an undo trail),
+so neither P nor the log is ever copied.  Given P, the current
+prefixes and the processed marks M, an activation:
 
 1. saturates P under the and/or/literal rules with a cursor worklist:
    the cursor passes each entry once per branch, runs and steps and
@@ -39,10 +39,10 @@ the processed marks M, an activation:
    subtrees meet), and removed when its choice point moves on.  The
    leaf asks for a child's next completion by yielding the child's
    generator; the loop runs the child and sends back its next
-   completion, or None when it has no more.  A BOX1 or diamond child is
-   dropped after its first success, and a quantifier child is yielded
-   again when its next completion is needed.  Neither a wide
-   conjunction of diamonds or quantifiers nor deep nesting costs stack
+   completion, its P (the triples it produced are in the log), or None
+   when it has no more.  A BOX1 or diamond child is dropped after its
+   first success, and a quantifier child is yielded again when its next
+   completion is needed, so neither wide nor deep input costs stack
    depth;
 3. once every child has succeeded, rejects if saturation recorded a
    clash witness, else returns P.  Merged literals need no check of
@@ -50,10 +50,10 @@ the processed marks M, an activation:
    child's slice, so the child would have rejected.
 
 Fresh indices come from one counter per run, never reset while
-backtracking, so every prefix produced during a run is unique.  The
-union of all triples produced along an accepted path is a complete,
-clash-free branch; sat() checks that on every SAT verdict, and reads the
-witness models off it only when a caller asks for them.
+backtracking, so every prefix produced during a run is unique.  _add
+also appends each new triple to the run's one log, which the choice
+points cut back; at the root's accepted completion it holds the path's
+triples in order, a branch that sat() checks is complete and clash-free.
 
 The model checker subclasses the engine.  Each activation is passed the
 one model state its state prefix is pinned to (None in sat), and only
@@ -204,6 +204,7 @@ class _Engine:
             else None
         )
         self.last_clash = None
+        self.log = []  # the triples produced along the current path, in order
 
     # -- hooks for the model-checking variant ---------------------------------
 
@@ -252,16 +253,18 @@ class _Engine:
         return i
 
     def _add(self, P, order, adds, state):
-        """Append the adds not yet in P to order and record their positions
-        in P, in place.  True: satisfiability admits every literal; the
-        model checker's override returns False on one that is
+        """Append the adds not yet in P to order and to the log and record
+        their positions in P, in place.  True: satisfiability admits every
+        literal; the model checker's override returns False on one that is
         inadmissible."""
         st = self.stats
+        log = self.log
         for a in adds:
             if a in P:
                 continue
             P[a] = len(order)
             order.append(a)
+            log.append(a)
             if len(a[0]) > st.max_model_prefix_len:
                 st.max_model_prefix_len = len(a[0])
             if len(a[1]) > st.max_state_prefix_len:
@@ -277,22 +280,22 @@ class _Engine:
     # -- the procedure ----------------------------------------------------------
 
     def solve(self, root_entries, sigma, marks):
-        """First accepted completion: (final P, produced triples) or None.
-        Every entry carries its own model prefix, so only the state prefix
-        is passed.
+        """First accepted completion, the final P, or None; on a completion
+        self.log holds the triples produced along its path.  Every entry
+        carries its own model prefix, so only the state prefix is passed.
 
         Every activation is a generator, and one list used as a stack runs
         them all, the innermost last.  An activation that yields a
         generator asks for that child's next completion: the child is
-        pushed and resumed.  One that yields a completion (a tuple) or
-        None (it has no more) is popped, and what it yielded is sent to
+        pushed and resumed.  One that yields a completion (its P, a dict)
+        or None (it has no more) is popped, and what it yielded is sent to
         its parent.  The rest of the root's search is dropped, so nothing
-        ever truncates the P and produced triples it returns."""
+        ever truncates the P it returns or the log."""
         stack = [self._activate({}, [], root_entries, frozenset(marks), sigma, 1, self.point, True)]
         got = None
         while stack:
             got = stack[-1].send(got)
-            if got is None or type(got) is tuple:
+            if got is None or type(got) is dict:
                 stack.pop()
             else:
                 stack.append(got)
@@ -303,16 +306,16 @@ class _Engine:
         """The activation that owns P and order, started by adding adds to
         them: a generator that yields each child activation it needs the
         next completion of (solve sends it back, or None when the child has
-        no more), each of its own accepted completions (P, produced
-        triples) and finally None, after which it is never resumed.  None
-        is yielded rather than returned because catching StopIteration
-        from every exhausted activation costs more.  P and order are
-        undone in place on backtracking, so a consumer that keeps either
-        must copy it before resuming the activation.  state is the model
+        no more), each of its own accepted completions (P alone) and
+        finally None, after which it is never resumed.  None is yielded
+        rather than returned because catching StopIteration from every
+        exhausted activation costs more.  P, order and the log are undone
+        in place on backtracking, so a consumer that keeps one must copy
+        it before resuming the activation.  state is the model
         state sigma is pinned to (None in sat); only an activation that
         introduced sigma (box1) has BOX1 children.
 
-        P maps each entry to its position in order, the produced triples in
+        P maps each entry to its position in order, its triples in
         insertion order.  One loop runs the saturation cursor.  Every entry
         of order before the cursor has been passed once on this branch:
         processed if it is an unmarked and/or/literal entry, put into its
@@ -326,26 +329,26 @@ class _Engine:
         leaf every and/or/literal entry of P is processed.
 
         An or is a choice point on the stack ors: the or entry, the cursor
-        and clash witness just past it, and the lengths of order and the
-        three buckets.  The left alternative extends P in place.  When an
-        alternative is rejected or its leaf is exhausted, the innermost
-        point is popped, P, order and the buckets are truncated back to it,
-        and its right alternative is taken.
+        and clash witness just past it, and the lengths of order, the log
+        and the three buckets.  The left alternative extends P in place.
+        When an alternative is rejected or its leaf is exhausted, the
+        innermost point is popped, P, order, the log and the buckets are
+        truncated back to it, and its right alternative is taken.
 
         A leaf with no children rejects on its clash witness right away.
         Otherwise each child is a choice point on the stack kids:
-        (alternatives, rules, premises, conclusions, len(order),
-        len(contrib)).  A BOX1 or diamond child draws its fresh successor
-        prefix when pushed; each of its alternatives (target states) asks
-        a fresh activation for its first success only.  A quantifier
-        child draws its fresh model prefix and creates its activation when
-        pushed; rules is None and premises is its model prefix nu, and each
-        of its alternatives is that activation's next completion, whose
-        literals at ancestor prefixes of nu are merged into P.  contrib
-        lists the triples produced so far; it starts out as order itself
-        and is copied before the first append to either.  Every alternative
-        starts from P, order and contrib truncated back to their lengths
-        when its choice point was pushed."""
+        (alternatives, rules, premises, conclusions, len(order), len(log)).
+        Each alternative starts from P and order truncated back to their
+        lengths at push.  A BOX1 or diamond child draws its fresh successor
+        prefix when pushed; each alternative (target state) also cuts the
+        log back and asks a fresh activation for its first success only.
+        A quantifier child draws its fresh model prefix and creates its
+        activation when pushed; rules is None, premises is its model prefix
+        nu, and each alternative is that activation's next completion,
+        whose literals at ancestor prefixes of nu are merged into P.  Its
+        choice point keeps no log length and does not cut the log: the
+        suspended child cuts it through its own choice points, which all
+        lie above the length at push."""
         if not self._add(P, order, adds, state):
             yield None
             return
@@ -397,7 +400,8 @@ class _Engine:
                         if tracing:
                             self._emit("AND", e, adds)
                     else:
-                        ors.append((e, cursor, clash, len(order), len(dias), len(boxes), len(ns)))
+                        ors.append((e, cursor, clash, len(order), len(self.log), len(dias),
+                                    len(boxes), len(ns)))
                         if deadline is not None:
                             self._check_time()
                         adds = ((nu, sg, f.left),)
@@ -424,7 +428,7 @@ class _Engine:
                 nb = len(targets)
                 nd = nb + len(dias)
                 nk = nd + len(ns)
-                contrib, M2 = order, None
+                M2 = None
                 kids = []
                 while True:
                     k = len(kids)
@@ -432,7 +436,7 @@ class _Engine:
                         if clash is not None:
                             self._reject_clash(clash)
                         else:
-                            yield P, contrib
+                            yield P
                     elif k < nd:
                         sigma_i = sigma + (self._fresh(),)
                         if k < nb:
@@ -445,7 +449,7 @@ class _Engine:
                             premises = [e] + [b for b in boxes if is_prefix_of(b[0], nu)]
                             states = self._successor_states(state)
                         concls = [(x[0], sigma_i, x[2].body) for x in premises]
-                        kids.append((iter(states), rules, premises, concls, len(order), len(contrib)))
+                        kids.append((iter(states), rules, premises, concls, len(order), len(self.log)))
                     else:
                         if M2 is None:
                             saturated = (x for x in order if isinstance(x[2], _SATURATED))
@@ -460,17 +464,17 @@ class _Engine:
                         childP = {x: j for j, x in enumerate(child_order)}
                         child = self._activate(childP, child_order, (new_entry,), M2, sigma,
                                                depth + 1, state, False)
-                        kids.append((child, None, nu, None, len(order), len(contrib)))
+                        kids.append((child, None, nu, None, len(order), None))
                     # move the innermost child to its next success
                     while kids:
                         alts, rules, premises, concls, m, c = kids[-1]
                         _truncate(P, order, m)
-                        del contrib[c:]
                         if rules is None:
                             got = yield alts
                         else:
                             got = None
                             for state_i in alts:
+                                del self.log[c:]
                                 if tracing:
                                     for i, x in enumerate(premises):
                                         self._emit(rules[i > 0], x, [concls[i]])
@@ -481,23 +485,21 @@ class _Engine:
                         if got is None:
                             kids.pop()
                             continue
-                        if contrib is order:
-                            contrib = order[:]
                         if rules is None:
-                            for x in got[0]:
+                            for x in got:
                                 if x not in P and is_prefix_of(x[0], premises) and is_literal(x[2]):
                                     P[x] = len(order)
                                     order.append(x)
                             if len(P) > st.max_p_size:
                                 st.max_p_size = len(P)
-                        contrib.extend(got[1])
                         break
                     else:
                         break
             # take the right alternative of the innermost or choice point
             while ors:
-                e, cursor, clash, m, ld, lb, ln = ors.pop()
+                e, cursor, clash, m, lg, ld, lb, ln = ors.pop()
                 _truncate(P, order, m)
+                del self.log[lg:]
                 del dias[ld:], boxes[lb:], ns[ln:]
                 if deadline is not None:
                     self._check_time()
@@ -526,8 +528,7 @@ def sat(f, opts=None):
     trace = tuple(engine.trace or ())
     if got is None:
         return SatResult(False, stats=engine.stats, trace=trace)
-    _, contrib = got
-    branch = Branch(contrib, next_index=engine.counter)
+    branch = Branch(engine.log, next_index=engine.counter)
     _check_acceptance(branch)
     return SatResult(True, branch, engine.stats, trace)
 
@@ -541,8 +542,7 @@ def run_activation(state, opts=None):
     """
     engine = _Engine(opts)
     engine.counter = state.counter
-    got = engine.solve(list(state.entries), state.sigma, frozenset(state.marks))
-    if got is None:
+    final_P = engine.solve(list(state.entries), state.sigma, frozenset(state.marks))
+    if final_P is None:
         raise ClashFailure(engine.last_clash or ((1,), (1,), "?"))
-    final_P, _ = got
     return tuple(final_P)

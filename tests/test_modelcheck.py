@@ -111,6 +111,16 @@ class TestStatePinning:
         assert check(a, parse("<>[]" * 1000 + "p")) is True
         assert check(a, parse("<>[]" * 1000 + "<>p")) is False
 
+    def test_check_keeps_no_log(self):
+        # check needs only a verdict: after a search with or, BOX1,
+        # diamond and quantifier choice points the produced log is empty
+        a = PointedModel(search_order.star_model(), "c")
+        engine = _CheckEngine(SolverOptions(), a)
+        f = parse("[]Er (p | <>p | <>q) & <>(!p & q) & Er <>(p & q)")
+        assert engine.solve([((1,), (1,), f)], (1,), frozenset()) is not None
+        assert engine.stats.backtracks > 0
+        assert engine.log == []
+
 
 class TestReduction:
     def test_rejects_formulas_with_atoms(self):

@@ -213,11 +213,19 @@ class TestLazyModels:
         verdicts = [sat(f).satisfiable for f in gen.enumerate_formulas(4, ("p", "q"))]
         assert len(checked) == sum(verdicts) > 0
 
+    @staticmethod
+    def _claim_success(monkeypatch, entries):
+        """Make the search claim success with entries as its produced log."""
+        def solve(self, *a):
+            self.log = list(entries)
+            return {}
+        monkeypatch.setattr(solver._Engine, "solve", solve)
+
     def test_incomplete_branch_raises(self, monkeypatch):
-        # the search claims success but contributes only the root entry,
+        # the search claims success but produced only the root entry,
         # leaving its and-rule unapplied
         root = ((1,), (1,), parse("p & <>q"))
-        monkeypatch.setattr(solver._Engine, "solve", lambda *a: (None, [root]))
+        self._claim_success(monkeypatch, [root])
         with pytest.raises(NotComplete):
             sat(root[2])
 
@@ -228,7 +236,7 @@ class TestLazyModels:
             ((1,), (1,), parse("p")),
             ((1,), (1,), parse("!p")),
         ]
-        monkeypatch.setattr(solver._Engine, "solve", lambda *a: (None, contradictory))
+        self._claim_success(monkeypatch, contradictory)
         with pytest.raises(Clash):
             sat(f)
 
