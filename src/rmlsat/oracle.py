@@ -33,9 +33,11 @@ space, shared by every candidate, state and restriction of the call.
 Models, unravellings, restrictions and candidate trees are all walked in
 the node form of kripke, (label, successors), so no KripkeModel is built
 along the way.  A time_budget in seconds is checked once per candidate
-tree, once per restriction and once per profile fixpoint level; past it,
-as past the candidate and restriction caps, the call raises
-ResourceLimit.
+tree and once per restriction, and inside the profile passes once per
+fixpoint level, once per node of a restricted tree and once per summary
+pair of each child step, so no single step of a pass outlasts it by
+much; past it, as past the candidate and restriction caps, the call
+raises ResourceLimit.
 """
 
 from itertools import combinations
@@ -125,7 +127,7 @@ class _ProfileSpace:
         self._deltas = {}
 
     def delta(self, profile):
-        """The (wit, vio) contribution of one child with the given profile."""
+        """The (wit, vio) pair that one child with the given profile adds."""
         got = self._deltas.get(profile)
         if got is None:
             wit = 0
@@ -156,9 +158,10 @@ class _ProfileSpace:
                 bits |= b
         return bits
 
-    def summaries(self, child_profile_sets):
+    def summaries(self, child_profile_sets, tick=None):
         """All (wit, vio) pairs reachable by keeping at most one profile per
-        child, children considered independently.
+        child, children considered independently; tick, when given, is
+        called once per pair of each step.
 
         A child whose profile set is the very object of one that already
         added nothing is skipped: summaries combine by bitwise or, so a set
@@ -170,6 +173,8 @@ class _ProfileSpace:
                 continue
             new = set(out)
             for w0, v0 in out:
+                if tick is not None:
+                    tick()
                 for p in profs:
                     dw, dv = self.delta(p)
                     new.add((w0 | dw, v0 | dv))
@@ -179,9 +184,10 @@ class _ProfileSpace:
         return out
 
 
-def _restriction_satisfiable(tree, space):
+def _restriction_satisfiable(tree, space, tick=None):
     """Does some root-keeping restriction of the node-form tree satisfy
-    the quantifier-free formula of space?
+    the quantifier-free formula of space?  tick, when given, is called
+    once per node visited and passed on to space.summaries.
 
     Equivalent to enumerating every restriction and evaluating, folded
     into one bottom-up pass: each node's achievable profiles arise from
@@ -194,8 +200,10 @@ def _restriction_satisfiable(tree, space):
     def visit(node):
         got = achievable.get(id(node))
         if got is None:
+            if tick is not None:
+                tick()
             valuation, kids = node
-            summaries = space.summaries([visit(k) for k in kids])
+            summaries = space.summaries([visit(k) for k in kids], tick)
             got = achievable[id(node)] = {space.profile(valuation, w, v) for w, v in summaries}
         return got
 
@@ -210,6 +218,9 @@ class _Call:
     def __init__(self, time_budget):
         self.budget = time_budget
         self.deadline = None if time_budget is None else perf_counter() + time_budget
+        # the tick for the profile passes' inner loops; None without a
+        # deadline, so those loops then make no call at all
+        self.inner_tick = None if time_budget is None else self.tick
         self.bodies = {}
 
     def tick(self):
@@ -277,7 +288,7 @@ class _Eval:
         depth, space = call.body(psi)
         tree = unravel_node(node, depth, self.trees)
         if space is not None:
-            return _restriction_satisfiable(tree, space)
+            return _restriction_satisfiable(tree, space, call.inner_tick)
         count = 0
         for candidate in node_restrictions(tree):
             count += 1
@@ -364,7 +375,7 @@ def _profile_sat(f, depth, branching, atom_names, call):
     level = {space.profile(v, 0, 0) for v in vals}
     for _ in range(depth):
         call.tick()
-        summaries = space.summaries([level] * branching)
+        summaries = space.summaries([level] * branching, call.inner_tick)
         nxt = set(level)
         for v in vals:
             for w, vi in summaries:
@@ -383,8 +394,9 @@ def oracle_sat(f, max_candidates=DEFAULT_CANDIDATE_CAP, time_budget=None):
     Quantifier-containing formulas walk the candidate trees smallest
     first and raise ResourceLimit past max_candidates; quantifier-free
     formulas are decided by the equivalent profile fixpoint.  Past
-    time_budget seconds (checked once per candidate, per restriction and
-    per fixpoint level) it raises ResourceLimit too.
+    time_budget seconds (checked once per candidate, per restriction,
+    per fixpoint level and per summary pair of each child step) it raises
+    ResourceLimit too.
     """
     check_fragment(f)
     call = _Call(time_budget)

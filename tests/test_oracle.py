@@ -242,6 +242,16 @@ def test_time_budget():
         signal.signal(signal.SIGALRM, old)
 
 
+def test_time_budget_inside_a_fixpoint_level():
+    """One level of the profile fixpoint of 20 nested diamonds takes
+    seconds, so a budget read once per level overran 2 s by about 4 s;
+    read once per summary pair, it stops on time."""
+    start = time.monotonic()
+    with pytest.raises(ResourceLimit, match="time budget exhausted"):
+        oracle_sat(parse("<>" * 20 + "p"), time_budget=2.0)
+    assert time.monotonic() - start < 3.0
+
+
 def test_independent_of_the_decision_procedures():
     """The oracle, and every rmlsat module it imports, imports nothing
     from solver, tableau or modelcheck."""
