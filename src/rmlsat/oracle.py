@@ -34,10 +34,10 @@ Models, unravellings, restrictions and candidate trees are all walked in
 the node form of kripke, (label, successors), so no KripkeModel is built
 along the way.  A time_budget in seconds is checked once per candidate
 tree and once per restriction, and inside the profile passes once per
-fixpoint level, once per node of a restricted tree and once per summary
-pair of each child step, so no single step of a pass outlasts it by
-much; past it, as past the candidate and restriction caps, the call
-raises ResourceLimit.
+fixpoint level, once per node the restriction pass visits and once per
+summary pair of each child step, so no single step of a pass outlasts
+it by much; past it, as past the candidate and restriction caps, the
+call raises ResourceLimit.
 """
 
 from itertools import combinations
@@ -158,9 +158,9 @@ class _ProfileSpace:
                 bits |= b
         return bits
 
-    def summaries(self, child_profile_sets, tick=None):
+    def summaries(self, child_profile_sets, tick):
         """All (wit, vio) pairs reachable by keeping at most one profile per
-        child, children considered independently; tick, when given, is
+        child, children considered independently; tick, unless None, is
         called once per pair of each step.
 
         A child whose profile set is the very object of one that already
@@ -184,9 +184,9 @@ class _ProfileSpace:
         return out
 
 
-def _restriction_satisfiable(tree, space, tick=None):
+def _restriction_satisfiable(tree, space, tick):
     """Does some root-keeping restriction of the node-form tree satisfy
-    the quantifier-free formula of space?  tick, when given, is called
+    the quantifier-free formula of space?  tick, unless None, is called
     once per node visited and passed on to space.summaries.
 
     Equivalent to enumerating every restriction and evaluating, folded

@@ -5,8 +5,8 @@ The golden file holds hashes of the trace lines, statistics and verdicts
 model with at most two states, `check` on a star model with seven
 successors, `check` where state pinning and BOX1 coverage matter, a
 list of wide instances and the witnesses of deep instances, plus every
-SAT branch's entries in order; see `search_order.py`.  An engine change that keeps the search order keeps
-every hash.
+SAT branch's entries in order; see `search_order.py`.  An engine change
+that keeps the search order keeps every hash.
 """
 
 import json
