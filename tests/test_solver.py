@@ -70,6 +70,17 @@ class TestRunActivation:
             run_activation(st)
         assert err.value.witness == ((1,), (1,), "p")
 
+    def test_clash_inherited_by_quantifier_child(self):
+        # the Er child inherits p and !p at (1,1) and processes only its
+        # own entries: one EXR, its DIA and L steps, then its clash
+        st = SearchState(entries(([1], [1], "p"), ([1], [1], "Er <>q"), ([1], [1], "!p")))
+        out = io.StringIO()
+        with pytest.raises(ClashFailure) as err:
+            run_activation(st, SolverOptions(trace_out=out))
+        assert err.value.witness == ((1,), (1,), "p")
+        rules = [line.split()[0] for line in out.getvalue().splitlines()]
+        assert rules == ["EXR", "DIA", "L", "REJECT"]
+
     def test_clash_from_second_completion_merge(self):
         # the first completion of Er (p | q) merges p, which Er !p refutes;
         # the second merges q, which only Er !q refutes
@@ -85,6 +96,30 @@ class TestRunActivation:
         final = run_activation(st)
         assert final == entries(
             ([1], [1], "Er (p | q)"), ([1], [1], "Er !p"), ([1], [1], "q"), ([1], [1], "!p")
+        )
+
+
+class TestInheritedEntries:
+    def test_nested_children_inherit_a_clash(self):
+        # each quantifier child inherits its parent's entries at ancestor
+        # prefixes, p and !p at (1,1) among them, and expands only its own:
+        # each Er once, and only the innermost child (1.1.3), which has no
+        # children of its own, rejects on the inherited clash
+        res = sat(parse("p & Er (<>q & Er r) & !p"), SolverOptions(trace=True))
+        assert not res.satisfiable
+        assert res.stats.summary() == (
+            "activations=4 max_depth=3 max_p=11 backtracks=1 max_mu_len=3 max_sigma_len=2"
+        )
+        assert res.trace == (
+            "AND (1,1) ((p & Er (<>q & Er r)) & !p) => (1,1) (p & Er (<>q & Er r)); (1,1) !p",
+            "AND (1,1) (p & Er (<>q & Er r)) => (1,1) p; (1,1) Er (<>q & Er r)",
+            "EXR (1,1) Er (<>q & Er r) => (1.1,1) (<>q & Er r)",
+            "AND (1.1,1) (<>q & Er r) => (1.1,1) <>q; (1.1,1) Er r",
+            "DIA (1.1,1) <>q => (1.1,1.2) q",
+            "L (1.1,1.2) q => (1,1.2) q",
+            "EXR (1.1,1) Er r => (1.1.3,1) r",
+            "L (1.1.3,1) r => (1.1,1) r; (1,1) r",
+            "REJECT (1,1) clash p",
         )
 
 
