@@ -128,7 +128,7 @@ def check(a, f, opts=None):
     """
     check_fragment(f)
     engine = _CheckEngine(opts, a)
-    return engine.solve([((1,), (1,), f)], (1,), frozenset()) is not None
+    return engine.solve([((1,), (1,), f)], (1,)) is not None
 
 
 # --- the hardness instance ----------------------------------------------------

@@ -9,14 +9,16 @@ activation's insertion order, and keeps one branch at a time: every
 choice point remembers how far P, its buckets and the run's log reach
 and truncates them back before the next alternative (an undo trail),
 so neither P nor the log is ever copied.  Given P, the current
-prefixes and the processed marks M, an activation:
+prefixes and start, how many entries at the front of P it inherited
+processed (0 except in a quantifier child), an activation:
 
 1. saturates P under the and/or/literal rules with a cursor worklist:
    the cursor passes each entry once per branch, runs and steps and
    literal steps (which copy the literal to every ancestor model prefix)
    in place, fills the buckets of diamonds, boxes and quantifiers, and
    records the first literal whose complement sits at an earlier
-   position (the clash witness); each or is a chronological backtrack
+   position (the clash witness), but of an inherited entry it only
+   buckets a box and checks a literal; each or is a chronological backtrack
    point and the place the time budget is checked.  The or choice
    points sit on an explicit stack inside one saturation loop, so a
    wide conjunction of disjunctions costs no stack depth.  A leaf with
@@ -28,22 +30,21 @@ prefixes and the processed marks M, an activation:
    the model checker's BOX1 children (see modelcheck), then for each
    unprocessed diamond at model prefix nu a child problem at a fresh
    successor prefix holding the diamond body plus every box body
-   recorded at an ancestor prefix of nu, run with an empty mark set
-   (only its first success is taken; its alternatives are its target
-   states), then for each unprocessed refinement quantifier a child
-   activation at a fresh model prefix on the ancestor-prefix slice of
-   P, passing the current marks (its alternatives are its accepted
-   completions).  The literal results a quantifier child's completion
-   has at ancestor prefixes are appended to P, where later quantifier
-   children see them (this is how clashes discovered in different
-   subtrees meet), and removed when its choice point moves on.  The
-   leaf asks for a child's next completion by yielding the child's
-   generator; the loop runs the child and sends back its next
-   completion, its P (the triples it produced are in the log), or None
-   when it has no more.  A BOX1 or diamond child is dropped after its
-   first success, and a quantifier child is yielded again when its next
-   completion is needed, so neither wide nor deep input costs stack
-   depth;
+   recorded at an ancestor prefix of nu, with start 0 (only its first
+   success is taken; its alternatives are its target states), then for
+   each unprocessed refinement quantifier a child activation at a fresh
+   model prefix that inherits a copy of the ancestor-prefix slice of P
+   (its alternatives are its accepted completions).  The literals at
+   ancestor prefixes among a completion's own entries are appended to
+   P, where later quantifier children see them (this is how clashes
+   discovered in different subtrees meet), and removed when its choice
+   point moves on.  The leaf asks for a child's next completion by
+   yielding the child's generator; the loop runs the child and sends
+   back its next completion, its P (the triples it produced are in the
+   log), or None when it has no more.  A BOX1 or diamond child is
+   dropped after its first success, and a quantifier child is yielded
+   again when its next completion is needed, so neither wide nor deep
+   input costs stack depth;
 3. once every child has succeeded, rejects if saturation recorded a
    clash witness, else returns P.  Merged literals need no check of
    their own: the complement of one would already have been in the
@@ -98,10 +99,6 @@ __all__ = [
     "sat",
     "run_activation",
 ]
-
-
-# The formulas saturation processes: and, or and literals.
-_SATURATED = (And, Or, Atom, NegAtom)
 
 
 # Each literal's complement, keyed by the literal's (type, name).  It is
@@ -165,12 +162,11 @@ class SearchStats:
 
 @dataclass
 class SearchState:
-    """One activation's input: the triples P, the current state prefix,
-    the processed marks and the fresh-index counter."""
+    """One activation's input: the triples P, the current state prefix
+    and the fresh-index counter."""
 
     entries: tuple
     sigma: tuple = (1,)
-    marks: frozenset = frozenset()
     counter: int = 1
 
 
@@ -279,7 +275,7 @@ class _Engine:
 
     # -- the procedure ----------------------------------------------------------
 
-    def solve(self, root_entries, sigma, marks):
+    def solve(self, root_entries, sigma):
         """First accepted completion, the final P, or None; on a completion
         self.log holds the triples produced along its path.  Every entry
         carries its own model prefix, so only the state prefix is passed.
@@ -291,7 +287,7 @@ class _Engine:
         or None (it has no more) is popped, and what it yielded is sent to
         its parent.  The rest of the root's search is dropped, so nothing
         ever truncates the P it returns or the log."""
-        stack = [self._activate({}, [], root_entries, frozenset(marks), sigma, 1, self.point, True)]
+        stack = [self._activate({}, [], root_entries, 0, sigma, 1, self.point, True)]
         got = None
         while stack:
             got = stack[-1].send(got)
@@ -302,7 +298,7 @@ class _Engine:
                 got = None
         return got
 
-    def _activate(self, P, order, adds, M, sigma, depth, state, box1):
+    def _activate(self, P, order, adds, start, sigma, depth, state, box1):
         """The activation that owns P and order, started by adding adds to
         them: a generator that yields each child activation it needs the
         next completion of (solve sends it back, or None when the child has
@@ -316,17 +312,19 @@ class _Engine:
         introduced sigma (box1) has BOX1 children.
 
         P maps each entry to its position in order, its triples in
-        insertion order.  One loop runs the saturation cursor.  Every entry
-        of order before the cursor has been passed once on this branch:
-        processed if it is an unmarked and/or/literal entry, put into its
-        bucket if it is a diamond (dias, the unprocessed ones), a box
-        (boxes, those at sigma) or a quantifier (ns, the unprocessed ones),
-        and checked against P for its complement if it is a literal.  clash
-        is the first literal whose complement sits at an earlier position,
-        the witness a scan of the final P in order would report.  And and
-        literal steps extend P in place.  An entry counts as marked once the
-        cursor passes it, so M itself does not grow here: at a saturated
-        leaf every and/or/literal entry of P is processed.
+        insertion order.  The first start entries are the inherited slice,
+        whose and/or/literals the parent processed and whose diamonds and
+        quantifiers it gave children; each later entry sits at a fresh
+        model prefix or is a literal copy not in the slice.  One loop runs
+        the saturation cursor.  Every entry of order before the cursor has
+        been passed once on this branch: processed if it is an and/or/literal
+        entry past start, put into its bucket if it is a diamond past start
+        (dias), a box at sigma (boxes) or a quantifier past start (ns), and
+        checked against P for its complement if it is a literal.  clash is
+        the first literal whose complement sits at an earlier position, the
+        witness a scan of the final P in order would report.  And and
+        literal steps extend P in place, so at a saturated leaf every
+        and/or/literal of P is processed.
 
         An or is a choice point on the stack ors: the or entry, the cursor
         and clash witness just past it, and the lengths of order, the log
@@ -344,8 +342,9 @@ class _Engine:
         log back and asks a fresh activation for its first success only.
         A quantifier child draws its fresh model prefix and creates its
         activation when pushed; rules is None, premises is its model prefix
-        nu, and each alternative is that activation's next completion,
-        whose literals at ancestor prefixes of nu are merged into P.  Its
+        nu, conclusions its order and the last slot its start, and each
+        alternative is that activation's next completion, whose own
+        literals at ancestor prefixes of nu are merged into P.  Its
         choice point keeps no log length and does not cut the log: the
         suspended child cuts it through its own choice points, which all
         lie above the length at push."""
@@ -382,7 +381,7 @@ class _Engine:
                         if at is not None and at < cursor:
                             clash = (e[0], e[1], f.name)
                     # at model prefix 1 a literal step adds nothing
-                    if len(e[0]) == 1 or e in M:
+                    if len(e[0]) == 1 or cursor <= start:
                         continue
                     nu, sg, _ = e
                     adds = [(nu[:k], sg, f) for k in range(len(nu) - 1, 0, -1)]
@@ -392,7 +391,7 @@ class _Engine:
                     if tracing:
                         self._emit("L", e, adds)
                 elif t is And or t is Or:
-                    if e in M:
+                    if cursor <= start:
                         continue
                     nu, sg, _ = e
                     if t is And:
@@ -409,12 +408,12 @@ class _Engine:
                             self._emit("OR", e, adds)
                 else:
                     if t is Diamond:
-                        if e not in M:
+                        if cursor > start:
                             dias.append(e)
                     elif t is Box:
                         if e[1] == sigma:
                             boxes.append(e)
-                    elif t is ExistsR and e not in M:
+                    elif t is ExistsR and cursor > start:
                         ns.append(e)
                     continue
                 if not add(P, order, adds, state):
@@ -428,7 +427,6 @@ class _Engine:
                 nb = len(targets)
                 nd = nb + len(dias)
                 nk = nd + len(ns)
-                M2 = None
                 kids = []
                 while True:
                     k = len(kids)
@@ -451,9 +449,6 @@ class _Engine:
                         concls = [(x[0], sigma_i, x[2].body) for x in premises]
                         kids.append((iter(states), rules, premises, concls, len(order), len(self.log)))
                     else:
-                        if M2 is None:
-                            saturated = (x for x in order if isinstance(x[2], _SATURATED))
-                            M2 = M.union(saturated, dias, ns)
                         e = ns[k - nd]
                         nu = e[0]
                         new_entry = (nu + (self._fresh(),), sigma, e[2].body)
@@ -462,9 +457,9 @@ class _Engine:
                         # state, so only the new entry needs the literal check
                         child_order = [x for x in order if is_prefix_of(x[0], nu)]
                         childP = {x: j for j, x in enumerate(child_order)}
-                        child = self._activate(childP, child_order, (new_entry,), M2, sigma,
-                                               depth + 1, state, False)
-                        kids.append((child, None, nu, None, len(order), None))
+                        child = self._activate(childP, child_order, (new_entry,), len(child_order),
+                                               sigma, depth + 1, state, False)
+                        kids.append((child, None, nu, child_order, len(order), len(child_order)))
                     # move the innermost child to its next success
                     while kids:
                         alts, rules, premises, concls, m, c = kids[-1]
@@ -478,16 +473,17 @@ class _Engine:
                                 if tracing:
                                     for i, x in enumerate(premises):
                                         self._emit(rules[i > 0], x, [concls[i]])
-                                got = yield self._activate({}, [], concls, frozenset(),
-                                                           concls[0][1], depth + 1, state_i, True)
+                                got = yield self._activate({}, [], concls, 0, concls[0][1],
+                                                           depth + 1, state_i, True)
                                 if got is not None:
                                     break
                         if got is None:
                             kids.pop()
                             continue
                         if rules is None:
-                            for x in got:
-                                if x not in P and is_prefix_of(x[0], premises) and is_literal(x[2]):
+                            # concls is the child's order and c its start
+                            for x in concls[c:]:
+                                if is_prefix_of(x[0], premises) and is_literal(x[2]):
                                     P[x] = len(order)
                                     order.append(x)
                             if len(P) > st.max_p_size:
@@ -524,7 +520,7 @@ def sat(f, opts=None):
     """
     check_fragment(f)
     engine = _Engine(opts)
-    got = engine.solve([((1,), (1,), f)], (1,), frozenset())
+    got = engine.solve([((1,), (1,), f)], (1,))
     trace = tuple(engine.trace or ())
     if got is None:
         return SatResult(False, stats=engine.stats, trace=trace)
@@ -542,7 +538,7 @@ def run_activation(state, opts=None):
     """
     engine = _Engine(opts)
     engine.counter = state.counter
-    final_P = engine.solve(list(state.entries), state.sigma, frozenset(state.marks))
+    final_P = engine.solve(list(state.entries), state.sigma)
     if final_P is None:
         raise ClashFailure(engine.last_clash or ((1,), (1,), "?"))
     return tuple(final_P)

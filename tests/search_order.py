@@ -164,7 +164,7 @@ def _sat_record(h, f, entries):
 
 def _check_record(h, a, f):
     engine = _CheckEngine(SolverOptions(trace=True), a)
-    got = engine.solve([((1,), (1,), f)], (1,), frozenset())
+    got = engine.solve([((1,), (1,), f)], (1,))
     for line in engine.trace:
         h.update(line.encode() + b"\n")
     h.update(engine.stats.summary().encode() + b"\n")

@@ -82,7 +82,7 @@ class TestCheck:
 def traced_check(a, text):
     """(verdict, trace lines, stats summary) of check(a, text)."""
     engine = _CheckEngine(SolverOptions(trace=True), a)
-    got = engine.solve([((1,), (1,), parse(text))], (1,), frozenset())
+    got = engine.solve([((1,), (1,), parse(text))], (1,))
     return got is not None, engine.trace, engine.stats.summary()
 
 
@@ -117,7 +117,7 @@ class TestStatePinning:
         a = PointedModel(search_order.star_model(), "c")
         engine = _CheckEngine(SolverOptions(), a)
         f = parse("[]Er (p | <>p | <>q) & <>(!p & q) & Er <>(p & q)")
-        assert engine.solve([((1,), (1,), f)], (1,), frozenset()) is not None
+        assert engine.solve([((1,), (1,), f)], (1,)) is not None
         assert engine.stats.backtracks > 0
         assert engine.log == []
 

@@ -62,14 +62,6 @@ class TestRunActivation:
             run_activation(st)
         assert err.value.witness == ((1,), (1,), first)
 
-    def test_clash_among_marked_entries(self):
-        # marked entries are never processed again, but they still clash
-        clashing = entries(([1], [1], "p"), ([1], [1], "<>q"), ([1], [1], "!p"))
-        st = SearchState(clashing, marks=frozenset(clashing))
-        with pytest.raises(ClashFailure) as err:
-            run_activation(st)
-        assert err.value.witness == ((1,), (1,), "p")
-
     def test_clash_inherited_by_quantifier_child(self):
         # the Er child inherits p and !p at (1,1) and processes only its
         # own entries: one EXR, its DIA and L steps, then its clash
