@@ -193,21 +193,26 @@ def _restriction_satisfiable(tree, space, tick):
     into one bottom-up pass: each node's achievable profiles arise from
     its valuation and an independent drop-or-restrict choice per child.
     A subtree shared by several parents is visited once, and its one
-    profile set lets summaries skip the repeats.
+    profile set lets summaries skip the repeats.  The walk is post-order
+    on an explicit stack, as in kripke.unravel_node, so depth costs no
+    Python stack.
     """
     achievable = {}
-
-    def visit(node):
-        got = achievable.get(id(node))
-        if got is None:
+    stack = [(tree, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in achievable:
+            continue
+        valuation, kids = node
+        if ready:
+            summaries = space.summaries([achievable[id(k)] for k in kids], tick)
+            achievable[id(node)] = {space.profile(valuation, w, v) for w, v in summaries}
+        else:
             if tick is not None:
                 tick()
-            valuation, kids = node
-            summaries = space.summaries([visit(k) for k in kids], tick)
-            got = achievable[id(node)] = {space.profile(valuation, w, v) for w, v in summaries}
-        return got
-
-    return any(p & space.goal for p in visit(tree))
+            stack.append((node, True))
+            stack.extend((k, False) for k in kids)
+    return any(p & space.goal for p in achievable[id(tree)])
 
 
 class _Call:

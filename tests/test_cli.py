@@ -295,6 +295,18 @@ class TestOracle:
             assert run(["oracle-check", "--model", mpath, "@" + str(fpath)])[:2] == want
             assert run(["check", "--model", mpath, "--formula", "@" + str(fpath)])[:2] == want
 
+    def test_oracle_check_deep_quantifier_free_body(self, tmp_path):
+        # the restriction pass walks the unravelled tree, 2,001 levels deep
+        # here, without recursion, so neither input exits 4
+        mpath = write_model(
+            tmp_path, transitions=[["s", "s"]], valuation={"s": ["p"]}, point="s"
+        )
+        n = 2000
+        deep = "Er " + "<>" * n + "p"
+        assert run(["oracle-check", "--model", mpath, deep]) == (0, "TRUE\n", "")
+        clash = "Er (" + "<>" * n + "p & " + "[]" * n + "!p)"
+        assert run(["oracle-check", "--model", mpath, clash]) == (1, "FALSE\n", "")
+
     @pytest.mark.parametrize("command", ["oracle-sat", "oracle-check"])
     def test_time_budget_exhausted_exit_three(self, tmp_path, command):
         # without a budget, oracle-sat runs past 30 s on the first, and
