@@ -25,14 +25,16 @@ Exit codes: 0 SAT/TRUE/no divergence, 1 UNSAT/FALSE/divergence found,
 decision procedure rejects with FragmentViolation), 3 resource limit,
 4 internal error (any other exception, such as RecursionError in
 `oracle-check` on a few thousand nested modal operators; the traceback
-goes to stderr).  `sat` and `check` run their search from explicit
-stacks, so nesting depth alone does not make them exit 4.
+goes to stderr), 141 (128 + SIGPIPE) when the reader of stdout closed
+it early, as `| head -1` does.  `sat` and `check` run their search from
+explicit stacks, so nesting depth alone does not make them exit 4.
 """
 
 import argparse
 import functools
 import json
 import multiprocessing
+import os
 import sys
 import traceback
 
@@ -46,6 +48,7 @@ EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
 EXIT_INTERNAL = 4
+EXIT_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -313,6 +316,11 @@ def main(argv=None):
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_LIMIT
+    except BrokenPipeError:
+        # the rest of the output goes to os.devnull, so the flush at exit
+        # cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except Exception:
         traceback.print_exc()
         print("internal error", file=sys.stderr)

@@ -1,7 +1,10 @@
 import io
 import itertools
 import json
+import os
 import signal
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -452,6 +455,21 @@ class TestUsage:
     def test_missing_model_file(self):
         code, _, err = run(["check", "--model", "/nonexistent.json", "--formula", "p"])
         assert code == 2
+
+    def test_closed_pipe_exit_141(self, tmp_path):
+        # the reader takes one line of a 1.7 MB trace and closes the pipe;
+        # the rest cannot be written, which is not an internal error
+        fpath = tmp_path / "f.txt"
+        fpath.write_text(" & ".join(f"(a_{i} | b_{i})" for i in range(300)))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        cmd = [sys.executable, "-m", "rmlsat.cli", "sat", "--trace", "@" + str(fpath)]
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(b"AND (1,1) ")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141
+        assert "internal error" not in err
 
 
 @pytest.mark.parametrize(
