@@ -467,9 +467,8 @@ class TestUsage:
         proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         assert proc.stdout.readline().startswith(b"AND (1,1) ")
         proc.stdout.close()
-        err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 141
-        assert "internal error" not in err
+        assert "internal error" not in proc.stderr.read().decode()
 
 
 @pytest.mark.parametrize(
