@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -148,7 +149,22 @@ class TestReduction:
             assert check(pointed, f) == want, render_const(psi)
 
 
+# SHA-256 over enumerate_const_formulas(7), in order: per tuple its repr,
+# render_const and the rendered lowering
+CONST_ORDER_DIGEST = "e70c1a33b1637802278098f948c3d976d9eded9db594f621e2f3f75d7a57a784"
+
+
 class TestConstGrammar:
+    def test_enumeration_order_pinned(self):
+        digest = hashlib.sha256()
+        count = 0
+        for psi in enumerate_const_formulas(7):
+            count += 1
+            line = f"{psi!r}\t{render_const(psi)}\t{render(lower_const(psi))}\n"
+            digest.update(line.encode())
+        assert count == 8246
+        assert digest.hexdigest() == CONST_ORDER_DIGEST
+
     def test_parse_render_round_trip(self):
         for psi in enumerate_const_formulas(4):
             assert parse_const(render_const(psi)) == psi
