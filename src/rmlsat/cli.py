@@ -41,7 +41,7 @@ import traceback
 from . import gen, modelcheck, oracle, solver
 from .errors import ResourceLimit
 from .formula import FragmentViolation, ParseError, parse, render
-from .kripke import StateNotFound, load_model, model_to_dict, pointed_from_dict, to_dot
+from .kripke import StateNotFound, model_from_dict, model_to_dict, pointed_from_dict, to_dot
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -69,11 +69,13 @@ def _read_formula(text):
     return f
 
 
-def _read_pointed(path):
+def _read_model(path, from_dict=pointed_from_dict):
+    """The model file read by from_dict; a usage error if it cannot be
+    (a decode or JSON error is a ValueError)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return pointed_from_dict(json.load(fh))
-    except (OSError, ValueError, StateNotFound, json.JSONDecodeError) as exc:
+            return from_dict(json.load(fh))
+    except (OSError, ValueError, StateNotFound) as exc:
         raise _UsageError(f"cannot load model: {exc}") from exc
 
 
@@ -87,7 +89,6 @@ def _solver_options(args):
     _positive("--node-budget", args.node_budget)
     _positive("--time-budget", args.time_budget)
     opts = solver.SolverOptions(
-        trace=args.trace,
         trace_out=sys.stdout if args.trace else None,
         time_budget=args.time_budget,
     )
@@ -118,7 +119,7 @@ def _cmd_sat(args):
 
 def _cmd_check(args):
     f = _read_formula(args.formula)
-    a = _read_pointed(args.model)
+    a = _read_model(args.model)
     verdict = modelcheck.check(a, f, _solver_options(args))
     print("TRUE" if verdict else "FALSE")
     return EXIT_YES if verdict else EXIT_NO
@@ -133,7 +134,7 @@ def _cmd_oracle_sat(args):
 
 def _cmd_oracle_check(args):
     f = _read_formula(args.formula)
-    a = _read_pointed(args.model)
+    a = _read_model(args.model)
     verdict = oracle.oracle_eval(a, f, time_budget=_positive("--time-budget", args.time_budget))
     print("TRUE" if verdict else "FALSE")
     return EXIT_YES if verdict else EXIT_NO
@@ -219,10 +220,7 @@ def _cmd_reduce_k(args):
 
 
 def _cmd_export_dot(args):
-    try:
-        model, point = load_model(args.model)
-    except (OSError, ValueError, StateNotFound, json.JSONDecodeError) as exc:
-        raise _UsageError(f"cannot load model: {exc}") from exc
+    model, point = _read_model(args.model, model_from_dict)
     sys.stdout.write(to_dot(model, point))
     return EXIT_YES
 

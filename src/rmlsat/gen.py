@@ -16,30 +16,36 @@ _BINARY = (And, Or)
 _cache = {}
 
 
-def formulas_of_size(n, atom_names, include_exists=True):
-    """All formulas with exactly n nodes over the given atoms, as a list."""
-    atom_names = tuple(atom_names)
-    key = (n, atom_names, include_exists)
-    got = _cache.get(key)
+def _of_size(n, kind, leaves, unary, binary):
+    """All terms with exactly n nodes, built from the leaves by the unary
+    and binary constructors in canonical order, cached under (kind, n)."""
+    got = _cache.get((kind, n))
     if got is not None:
         return got
     if n <= 0:
         out = []
     elif n == 1:
-        out = [Atom(a) for a in atom_names] + [NegAtom(a) for a in atom_names]
+        out = list(leaves)
     else:
         out = []
-        unary = _UNARY if include_exists else _UNARY_NO_EXR
         for op in unary:
-            for body in formulas_of_size(n - 1, atom_names, include_exists):
+            for body in _of_size(n - 1, kind, leaves, unary, binary):
                 out.append(op(body))
-        for op in _BINARY:
+        for op in binary:
             for i in range(1, n - 1):
-                for left in formulas_of_size(i, atom_names, include_exists):
-                    for right in formulas_of_size(n - 1 - i, atom_names, include_exists):
+                for left in _of_size(i, kind, leaves, unary, binary):
+                    for right in _of_size(n - 1 - i, kind, leaves, unary, binary):
                         out.append(op(left, right))
-    _cache[key] = out
+    _cache[kind, n] = out
     return out
+
+
+def formulas_of_size(n, atom_names, include_exists=True):
+    """All formulas with exactly n nodes over the given atoms, as a list."""
+    atom_names = tuple(atom_names)
+    leaves = [Atom(a) for a in atom_names] + [NegAtom(a) for a in atom_names]
+    unary = _UNARY if include_exists else _UNARY_NO_EXR
+    return _of_size(n, (atom_names, include_exists), leaves, unary, _BINARY)
 
 
 def enumerate_formulas(max_size, atom_names, include_exists=True):

@@ -40,9 +40,11 @@ of a variable-free basic modal formula psi reduces to checking
 `Er psi` on a single empty-valuation state with a self-loop, because
 every variable-free model refines that structure by mapping all states
 to it.  The grammar has no truth constants, so the variable-free test
-vectors are tuples over `top`/`bot` and are lowered over a reserved atom
-when handed to the main pipeline; that is a harness convention, not part
-of the formula language.  Their text form is read by the main parser
+vectors are tuples over `top`/`bot`, handled as formulas over `top` and
+`bot`: one walk builds the formula with the leaves it is given, atoms
+`top` and `bot` to render it, (z | !z) and (z & !z) over a reserved atom
+to lower it for the main pipeline.  That is a harness convention, not
+part of the formula language.  The text form is read by the main parser
 after a token check that admits only `top`, `bot`, the modal and boolean
 connectives and parentheses.
 """
@@ -63,6 +65,7 @@ from .formula import (
     parse,
     render,
 )
+from .gen import _of_size
 from .kripke import KripkeModel, PointedModel
 from .solver import _Engine
 
@@ -136,48 +139,46 @@ def check(a, f, opts=None):
 # Variable-free test grammar: ("top",) | ("bot",) | ("and", a, b)
 # | ("or", a, b) | ("dia", a) | ("box", a).
 _CONST_ARITY = {"top": 0, "bot": 0, "dia": 1, "box": 1, "and": 2, "or": 2}
+_CONST_NODES = {"dia": Diamond, "box": Box, "and": And, "or": Or}
 _LOWER_ATOM = "z"
+_BUILD = object()  # on _formula_of_const's stack: build the tag below it
 
 
-def _validate_const(t):
-    todo = [t]
+def _formula_of_const(t, top, bot):
+    """The formula of the constant-grammar tuple t, with the formulas top
+    and bot at its leaves; InvalidInput names the first malformed node in
+    preorder."""
+    leaves = {"top": top, "bot": bot}
+    # bottom-up: _BUILD over a tag on todo stands for its node, whose
+    # children are the last entries of done
+    done, todo = [], [t]
     while todo:
         u = todo.pop()
-        if (
-            not isinstance(u, tuple)
-            or not u
-            or u[0] not in _CONST_ARITY
-            or len(u) != _CONST_ARITY[u[0]] + 1
+        if u is _BUILD:
+            tag = todo.pop()
+            k = _CONST_ARITY[tag]
+            node = _CONST_NODES[tag](*done[-k:])
+            del done[-k:]
+            done.append(node)
+        elif not (
+            isinstance(u, tuple)
+            and u
+            and isinstance(u[0], str)
+            and len(u) == _CONST_ARITY.get(u[0], -1) + 1
         ):
             raise InvalidInput(f"not a variable-free constant formula: {u!r}")
-        todo.extend(reversed(u[1:]))
-
-
-_LOWER_NODES = {"dia": Diamond, "box": Box, "and": And, "or": Or}
+        elif len(u) == 1:
+            done.append(leaves[u[0]])
+        else:
+            todo += (u[0], _BUILD, *reversed(u[1:]))
+    return done[0]
 
 
 def lower_const(t):
     """Constant-grammar formula to a plain formula over the reserved atom:
     top becomes (z | !z), bot becomes (z & !z)."""
-    _validate_const(t)
-    # bottom-up: a tag on todo stands for its node, whose children are
-    # the last entries of done
-    done, todo = [], [t]
-    while todo:
-        u = todo.pop()
-        if type(u) is str:
-            k = _CONST_ARITY[u]
-            node = _LOWER_NODES[u](*done[-k:])
-            del done[-k:]
-            done.append(node)
-        elif u[0] == "top":
-            done.append(Or(Atom(_LOWER_ATOM), NegAtom(_LOWER_ATOM)))
-        elif u[0] == "bot":
-            done.append(And(Atom(_LOWER_ATOM), NegAtom(_LOWER_ATOM)))
-        else:
-            todo.append(u[0])
-            todo.extend(reversed(u[1:]))
-    return done[0]
+    z = Atom(_LOWER_ATOM), NegAtom(_LOWER_ATOM)
+    return _formula_of_const(t, Or(*z), And(*z))
 
 
 def reduce_k_sat(psi):
@@ -198,27 +199,12 @@ def reduce_k_sat(psi):
 
 
 def render_const(t):
-    _validate_const(t)
-    out, todo = [], [t]
-    while todo:
-        u = todo.pop()
-        if type(u) is str:
-            out.append(u)
-            continue
-        tag = u[0]
-        if tag == "top" or tag == "bot":
-            out.append(tag)
-        elif tag == "dia" or tag == "box":
-            out.append("<>" if tag == "dia" else "[]")
-            todo.append(u[1])
-        else:
-            out.append("(")
-            todo += (")", u[2], " & " if tag == "and" else " | ", u[1])
-    return "".join(out)
+    """The text of a constant-grammar formula: render over the atoms top and bot."""
+    return render(_formula_of_const(t, Atom("top"), Atom("bot")))
 
 
 _CONST_TOKENS = {"dia", "box", "amp", "pipe", "lp", "rp", "eof"}
-_CONST_TAGS = {And: "and", Or: "or", Diamond: "dia", Box: "box"}
+_CONST_TAGS = {node: tag for tag, node in _CONST_NODES.items()}
 
 
 def parse_const(text):
@@ -237,7 +223,7 @@ def parse_const(text):
 
 
 def _const_of(f):
-    # bottom-up, as in lower_const: a tag on todo stands for its tuple
+    # bottom-up, as in _formula_of_const: a tag on todo stands for its tuple
     done, todo = [], [f]
     while todo:
         g = todo.pop()
@@ -254,32 +240,11 @@ def _const_of(f):
     return done[0]
 
 
-_const_cache = {}
-
-
-def _const_of_size(n):
-    got = _const_cache.get(n)
-    if got is not None:
-        return got
-    if n <= 0:
-        out = []
-    elif n == 1:
-        out = [("top",), ("bot",)]
-    else:
-        out = []
-        for tag in ("dia", "box"):
-            for body in _const_of_size(n - 1):
-                out.append((tag, body))
-        for tag in ("and", "or"):
-            for i in range(1, n - 1):
-                for left in _const_of_size(i):
-                    for right in _const_of_size(n - 1 - i):
-                        out.append((tag, left, right))
-    _const_cache[n] = out
-    return out
+_CONST_UNARY = (lambda a: ("dia", a), lambda a: ("box", a))
+_CONST_BINARY = (lambda a, b: ("and", a, b), lambda a, b: ("or", a, b))
 
 
 def enumerate_const_formulas(max_size):
     """All constant-grammar formulas of size 1..max_size, canonical order."""
     for n in range(1, max_size + 1):
-        yield from _const_of_size(n)
+        yield from _of_size(n, "const", (("top",), ("bot",)), _CONST_UNARY, _CONST_BINARY)

@@ -147,23 +147,18 @@ class Branch:
     """An ordered, duplicate-free set of prefixed formulas plus the fresh
     index counter.  apply() returns a new Branch; entries are never removed."""
 
-    __slots__ = ("_order", "_set", "next_index", "_succ", "_dia", "_exr")
+    __slots__ = ("_entries", "next_index", "_succ", "_dia", "_exr")
 
     def __init__(self, entries, next_index=None):
         self._succ = self._dia = self._exr = None
-        self._order = []
-        self._set = set()
-        for e in entries:
-            if e not in self._set:
-                self._set.add(e)
-                self._order.append(e)
+        self._entries = dict.fromkeys(entries)  # insertion-ordered
         if next_index is None:
             # Fresh prefixes must not collide with anything present: pick the
             # next counter value past every index in use.  Only the pristine
             # initial branch may start back at 1.
             top = 1
             extended = False
-            for e in self._order:
+            for e in self._entries:
                 for p in (e[0], e[1]):
                     top = max(top, max(p))
                     if len(p) > 1:
@@ -171,31 +166,18 @@ class Branch:
             next_index = top + 1 if (extended or top > 1) else 1
         self.next_index = next_index
 
-    @classmethod
-    def initial(cls, formula):
-        return cls([((1,), (1,), formula)], next_index=1)
-
     @property
     def entries(self):
-        return tuple(self._order)
+        return tuple(self._entries)
 
     def __contains__(self, e):
-        return e in self._set
+        return e in self._entries
 
     def __len__(self):
-        return len(self._order)
+        return len(self._entries)
 
     def _extended(self, new_entries, bump=0):
-        b = Branch.__new__(Branch)
-        b._succ = b._dia = b._exr = None
-        b._order = list(self._order)
-        b._set = set(self._set)
-        for e in new_entries:
-            if e not in b._set:
-                b._set.add(e)
-                b._order.append(e)
-        b.next_index = self.next_index + bump
-        return b
+        return Branch((*self._entries, *new_entries), self.next_index + bump)
 
     # -- rule machinery ------------------------------------------------------
 
@@ -208,7 +190,7 @@ class Branch:
         order."""
         if self._succ is None:
             succ = {}
-            for mu, sigma, _ in self._order:
+            for mu, sigma, _ in self._entries:
                 if len(sigma) > 1:
                     parent = sigma[:-1]
                     for k in range(1, len(mu) + 1):
@@ -220,7 +202,7 @@ class Branch:
         """(mu, sigma, a) -> [mu.m, ...] such that (mu.m, sigma, a) occurs."""
         if self._exr is None:
             exr = {}
-            for mu, sigma, f in self._order:
+            for mu, sigma, f in self._entries:
                 if len(mu) > 1:
                     exr.setdefault((mu[:-1], sigma, f), []).append(mu)
             self._exr = exr
@@ -233,7 +215,7 @@ class Branch:
 
     def _has_dia_witness(self, mu, sigma, body):
         if self._dia is None:
-            self._dia = {(m, s[:-1], f) for m, s, f in self._order if len(s) > 1}
+            self._dia = {(m, s[:-1], f) for m, s, f in self._entries if len(s) > 1}
         return (mu, sigma, body) in self._dia
 
     def _has_exr_witness(self, mu, sigma, body):
@@ -243,17 +225,18 @@ class Branch:
         """Every rule instance whose side condition holds and whose
         conclusion is not already present, in deterministic order."""
         out = []
-        for e in self._order:
+        entries = self._entries
+        for e in entries:
             mu, sigma, f = e
             if isinstance(f, And):
-                if (mu, sigma, f.left) not in self._set or (mu, sigma, f.right) not in self._set:
+                if (mu, sigma, f.left) not in entries or (mu, sigma, f.right) not in entries:
                     out.append(RuleInstance("and", e))
             elif isinstance(f, Or):
-                if (mu, sigma, f.left) not in self._set and (mu, sigma, f.right) not in self._set:
+                if (mu, sigma, f.left) not in entries and (mu, sigma, f.right) not in entries:
                     out.append(RuleInstance("or", e))
             elif is_literal(f):
                 for k in range(len(mu) - 1, 0, -1):
-                    if (mu[:k], sigma, f) not in self._set:
+                    if (mu[:k], sigma, f) not in entries:
                         out.append(RuleInstance("lit", e, mu[:k]))
             elif isinstance(f, Diamond):
                 if not self._has_dia_witness(mu, sigma, f.body):
@@ -263,7 +246,7 @@ class Branch:
                     out.append(RuleInstance("exr", e))
             elif isinstance(f, Box):
                 for sigma2 in self._box_witnesses(mu, sigma):
-                    if (mu, sigma2, f.body) not in self._set:
+                    if (mu, sigma2, f.body) not in entries:
                         out.append(RuleInstance("box", e, sigma2))
         return out
 
@@ -275,7 +258,7 @@ class Branch:
         apply to this branch.
         """
         mu, sigma, f = inst.entry
-        if inst.entry not in self._set:
+        if inst.entry not in self._entries:
             raise ValueError(f"entry not on branch: {render_entry(inst.entry)}")
         if inst.rule == "or":
             if choice not in ("left", "right"):
@@ -316,7 +299,7 @@ class Branch:
 
     def has_clash(self):
         """A witness (mu, sigma, atom name) labeled with both polarities, or None."""
-        return find_clash(self._order)
+        return find_clash(self._entries)
 
     def is_complete(self):
         return not self.applicable_instances()
@@ -430,7 +413,7 @@ def _read_models(branch):
     own = {}  # model prefix -> ids of the state prefixes its entries carry
     atoms_at = {}
     anchors = {(1,): (1,)}
-    for mu, sigma, f in branch._order:
+    for mu, sigma, f in branch._entries:
         i = ids.get(sigma)
         if i is None:
             i = ids[sigma] = len(ids)

@@ -38,6 +38,15 @@ def write_model(tmp_path, name="m.json", **kw):
     return str(path)
 
 
+def model_readers(mpath):
+    """The argv of every command that reads a model file."""
+    return [
+        ["check", "--model", mpath, "--formula", "p"],
+        ["oracle-check", "--model", mpath, "p"],
+        ["export-dot", "--model", mpath],
+    ]
+
+
 class TestSat:
     def test_unsat_exit_one(self):
         code, out, _ = run(["sat", "p & !p"])
@@ -241,14 +250,22 @@ class TestCheck:
             {"point": ["s"]},
             {"transitions": [["s", ["s"]]]},
             {"valuation": {"s": "pq"}},
+            None,
         ],
-        ids=["states", "point", "transitions", "valuation"],
+        ids=["states", "point", "transitions", "valuation", "not-json"],
     )
     def test_malformed_model_exit_two(self, tmp_path, shape):
-        mpath = write_model(tmp_path, **{"point": "s", **shape})
-        code, out, err = run(["check", "--model", mpath, "--formula", "p"])
-        assert (code, out) == (2, "")
-        assert "malformed model object" in err
+        if shape is None:
+            mpath = tmp_path / "m.json"
+            mpath.write_text("{not json")
+        else:
+            mpath = write_model(tmp_path, **{"point": "s", **shape})
+        for argv in model_readers(str(mpath)):
+            code, out, err = run(argv)
+            assert (code, out) == (2, ""), argv
+            assert "cannot load model" in err
+            if shape is not None:
+                assert "malformed model object" in err
 
     def test_wide_box_fan_out(self, tmp_path):
         succ = [f"t_{i}" for i in range(2000)]
@@ -452,9 +469,11 @@ class TestUsage:
         code, _, _ = run(["frobnicate"])
         assert code == 2
 
-    def test_missing_model_file(self):
-        code, _, err = run(["check", "--model", "/nonexistent.json", "--formula", "p"])
-        assert code == 2
+    def test_missing_model_file(self, tmp_path):
+        for argv in model_readers(str(tmp_path / "missing.json")):
+            code, out, err = run(argv)
+            assert (code, out) == (2, ""), argv
+            assert "cannot load model" in err
 
     def test_closed_pipe_exit_141(self, tmp_path):
         # the reader takes one line of a 1.7 MB trace and closes the pipe;

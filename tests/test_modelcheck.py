@@ -137,10 +137,17 @@ class TestReduction:
         assert render(f) == "Er <>[](z | !z)"
 
     def test_malformed_tuples_rejected(self):
-        with pytest.raises(InvalidInput):
-            reduce_k_sat(("nope",))
-        with pytest.raises(InvalidInput):
-            reduce_k_sat(("and", ("top",)))
+        # a list or dict head is unhashable, and must not reach a dict lookup
+        bad = [("nope",), ("and", ("top",)), ([],), ({"a": 1},), ("dia", "top"), ()]
+        for psi in bad:
+            for fn in (reduce_k_sat, lower_const, render_const):
+                with pytest.raises(InvalidInput):
+                    fn(psi)
+
+    def test_first_malformed_node_in_preorder_is_named(self):
+        psi = ("and", ("or", ("top",), ("x",)), ("y",))
+        with pytest.raises(InvalidInput, match=r"\('x',\)"):
+            lower_const(psi)
 
     def test_equivalence_small(self):
         for psi in enumerate_const_formulas(4):
