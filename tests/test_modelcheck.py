@@ -143,11 +143,9 @@ class TestReduction:
             for fn in (reduce_k_sat, lower_const, render_const):
                 with pytest.raises(InvalidInput):
                     fn(psi)
-
-    def test_first_malformed_node_in_preorder_is_named(self):
-        psi = ("and", ("or", ("top",), ("x",)), ("y",))
+        # the message names the first malformed node in preorder
         with pytest.raises(InvalidInput, match=r"\('x',\)"):
-            lower_const(psi)
+            lower_const(("and", ("or", ("top",), ("x",)), ("y",)))
 
     def test_equivalence_small(self):
         for psi in enumerate_const_formulas(4):
