@@ -70,8 +70,8 @@ def _read_formula(text):
 
 
 def _read_model(path, from_dict=pointed_from_dict):
-    """The model file read by from_dict; a usage error if it cannot be
-    (a decode or JSON error is a ValueError)."""
+    """Read a model file with from_dict; any failure to read or parse it is
+    a usage error (JSON and UTF-8 decode errors are ValueErrors)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return from_dict(json.load(fh))
