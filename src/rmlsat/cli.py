@@ -22,11 +22,12 @@ only the tokens `top`, `bot`, `<>`, `[]`, `&`, `|` and parentheses.
 
 Exit codes: 0 SAT/TRUE/no divergence, 1 UNSAT/FALSE/divergence found,
 2 usage or parse error (also a universal quantifier `Ar`, which every
-decision procedure rejects with FragmentViolation), 3 resource limit,
-4 internal error (any other exception, such as RecursionError in
-`oracle-check` on a few thousand nested modal operators; the traceback
-goes to stderr), 141 (128 + SIGPIPE) when the reader of stdout closed
-it early, as `| head -1` does.  `sat` and `check` run their search from
+decision procedure rejects with FragmentViolation), 3 resource limit
+(an exhausted budget, or running out of memory), 4 internal error (any
+other exception, such as RecursionError in `oracle-check` on a few
+thousand nested modal operators; the traceback goes to stderr), 141
+(128 + SIGPIPE) when the reader of stdout closed it early, as
+`| head -1` does.  `sat` and `check` run their search from
 explicit stacks, so nesting depth alone does not make them exit 4.
 """
 
@@ -305,14 +306,12 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, ParseError, FragmentViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, FragmentViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ResourceLimit as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimit, MemoryError) as exc:
+        reason = "out of memory" if isinstance(exc, MemoryError) else exc
+        print(f"resource limit: {reason}", file=sys.stderr)
         return EXIT_LIMIT
     except BrokenPipeError:
         # the rest of the output goes to os.devnull, so the flush at exit

@@ -9,6 +9,12 @@ model (M2, s2) refines (M, s) when some refinement mapping contains
 (s, s2); equivalently M2 is a restriction of a model bisimilar to M,
 which is what the unravel/restriction machinery below exploits.
 
+A KripkeModel keeps its edges once, as one sorted successor tuple per
+state, checked against the state set as it is built; its transitions
+are a view of that adjacency, and its equality and hash read it and the
+valuation.  A PointedModel is a frozen dataclass of a model and a state
+of it.
+
 Model file format (JSON): an object with "states" (list of strings),
 "transitions" (list of [from, to] pairs), "valuation" (state -> list of
 atom names; missing states default to the empty valuation) and an
@@ -16,6 +22,7 @@ optional "point".
 """
 
 import json
+from dataclasses import dataclass
 
 __all__ = [
     "KripkeModel",
@@ -52,34 +59,35 @@ class KripkeModel:
 
     states are opaque strings; transitions is any iterable of (from, to)
     pairs over them; valuation maps states to iterables of atom names
-    (missing states get the empty set).  The node form of
+    (missing states get the empty set).  The edges are kept once, in
+    ``_succ``, each state's sorted tuple of successors.  The node form of
     :func:`graph_nodes` is built on first use and kept in ``_nodes``,
     which equality and hashing ignore.
     """
 
-    __slots__ = ("states", "transitions", "valuation", "_succ", "_nodes")
+    __slots__ = ("states", "valuation", "_succ", "_nodes")
 
     def __init__(self, states, transitions, valuation=None):
         self.states = tuple(sorted(set(states)))
-        stateset = set(self.states)
-        trans = set()
+        succ = {s: set() for s in self.states}
         for s, t in transitions:
-            if s not in stateset or t not in stateset:
+            if s not in succ or t not in succ:
                 raise StateNotFound(f"transition ({s!r}, {t!r}) leaves the state set")
-            trans.add((s, t))
-        self.transitions = frozenset(trans)
+            succ[s].add(t)
+        self._succ = {s: tuple(sorted(ts)) for s, ts in succ.items()}
         valuation = valuation or {}
         for s in valuation:
-            if s not in stateset:
+            if s not in succ:
                 raise StateNotFound(f"valuation mentions unknown state {s!r}")
         self.valuation = {
             s: frozenset(valuation.get(s, ())) for s in self.states
         }
-        succ = {s: [] for s in self.states}
-        for s, t in sorted(trans):
-            succ[s].append(t)
-        self._succ = {s: tuple(ts) for s, ts in succ.items()}
         self._nodes = None
+
+    @property
+    def transitions(self):
+        """The (from, to) pairs, as a frozenset."""
+        return frozenset((s, t) for s, ts in self._succ.items() for t in ts)
 
     def successors(self, s):
         try:
@@ -90,43 +98,28 @@ class KripkeModel:
     def __eq__(self, other):
         return (
             isinstance(other, KripkeModel)
-            and self.states == other.states
-            and self.transitions == other.transitions
+            and self._succ == other._succ
             and self.valuation == other.valuation
         )
 
     def __hash__(self):
-        return hash(
-            (self.states, self.transitions, tuple(sorted(self.valuation.items())))
-        )
+        return hash((tuple(self._succ.items()), tuple(self.valuation.items())))
 
     def __repr__(self):
-        return f"KripkeModel(states={len(self.states)}, transitions={len(self.transitions)})"
+        n = sum(map(len, self._succ.values()))
+        return f"KripkeModel(states={len(self.states)}, transitions={n})"
 
 
+@dataclass(frozen=True, slots=True)
 class PointedModel:
     """A model with a designated state."""
 
-    __slots__ = ("model", "point")
+    model: KripkeModel
+    point: str
 
-    def __init__(self, model, point):
-        if point not in model.valuation:
-            raise StateNotFound(f"point {point!r} not a state")
-        self.model = model
-        self.point = point
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PointedModel)
-            and self.model == other.model
-            and self.point == other.point
-        )
-
-    def __hash__(self):
-        return hash((self.model, self.point))
-
-    def __repr__(self):
-        return f"PointedModel(point={self.point!r}, {self.model!r})"
+    def __post_init__(self):
+        if self.point not in self.model.valuation:
+            raise StateNotFound(f"point {self.point!r} not a state")
 
 
 class RefinementRelation:
@@ -314,15 +307,14 @@ def unravel(a, depth):
 def _tree_children(t):
     """Adjacency map of a tree-shaped pointed model; raises NotATree."""
     m = t.model
-    parent = {}
-    children = {s: [] for s in m.states}
-    for s, u in sorted(m.transitions):
-        if u in parent:
-            raise NotATree(f"state {u!r} has two parents")
-        if u == t.point:
-            raise NotATree("the root has an incoming transition")
-        parent[u] = s
-        children[s].append(u)
+    has_parent = set()
+    for us in m._succ.values():
+        for u in us:
+            if u in has_parent:
+                raise NotATree(f"state {u!r} has two parents")
+            if u == t.point:
+                raise NotATree("the root has an incoming transition")
+            has_parent.add(u)
     # reachability from the root doubles as the cycle check
     seen = set()
     stack = [t.point]
@@ -331,10 +323,10 @@ def _tree_children(t):
         if s in seen:
             raise NotATree("cycle reachable from the root")
         seen.add(s)
-        stack.extend(children[s])
+        stack.extend(m._succ[s])
     if seen != set(m.states):
         raise NotATree("states unreachable from the root")
-    return children
+    return m._succ
 
 
 def enumerate_root_restrictions(t):
@@ -437,7 +429,8 @@ def to_dot(m, point=None):
         label = name + "\\n{" + _dot_escape(", ".join(sorted(m.valuation[s]))) + "}"
         shape = ' peripheries=2' if s == point else ""
         lines.append(f'  "{name}" [label="{label}"{shape}];')
-    for s, t in sorted(m.transitions):
-        lines.append(f'  "{_dot_escape(s)}" -> "{_dot_escape(t)}";')
+    for s in m.states:
+        for t in m._succ[s]:
+            lines.append(f'  "{_dot_escape(s)}" -> "{_dot_escape(t)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

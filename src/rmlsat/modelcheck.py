@@ -18,16 +18,17 @@ pinned to states of the checked model:
 Every entry of a check activation sits at the activation's own state
 prefix, so the engine passes each activation just that prefix's state.
 BOX1 runs once per state prefix, in the activation that introduced it
-(the root, a BOX1 child or a diamond child), and covers every successor
-there.  A quantifier child shares its parent's state prefix and adds no
-BOX1 child: saturation adds only literals at model prefix 1, so its
-boxes there are its parent's, which the parent's BOX1 children already
-carry to every successor.  Two fresh prefixes at the same state may be
-pinned to the same model state.
+(the root, a BOX1 child or a diamond child: the ones that inherit no
+entries), and covers every successor there.  A quantifier child shares
+its parent's state prefix and adds no BOX1 child: saturation adds only
+literals at model prefix 1, so its boxes there are its parent's, which
+the parent's BOX1 children already carry to every successor.  Two
+fresh prefixes at the same state may be pinned to the same model state.
 
-The checker's engine sets the engine's point and overrides _add, which
-keeps no log (check needs only a verdict, so it builds no list of
-produced triples), and two hooks: a fresh successor prefix's target
+The checker's engine sets the engine's point, the root's state, and
+overrides _add, which rejects a literal that does not hold at the
+activation's state and keeps no log (check needs only a verdict, so it
+builds no list of produced triples), and two hooks: a fresh successor prefix's target
 states are its state's successors, and _box1_targets returns the boxes
 at model prefix 1 and every successor of the state, each made a BOX1
 child, the first choice points on the stack that also holds the leaf's

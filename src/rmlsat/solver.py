@@ -56,15 +56,12 @@ also appends each new triple to the run's one log, which the choice
 points cut back; at the root's accepted completion it holds the path's
 triples in order, a branch that sat() checks is complete and clash-free.
 
-The model checker subclasses the engine.  Each activation is passed the
-one model state its state prefix is pinned to (None in sat), and only
-one that introduced its state prefix asks for BOX1 children.  The
-checker sets point, the root's state, and overrides _add, which rejects
-a literal that does not hold at the activation's state, and two hooks:
-the target states of a fresh successor prefix, and a leaf's boxes at
-model prefix 1 with the successor states its BOX1 children cover.
+Each activation is passed the one model state its state prefix is
+pinned to (None in sat).  The model checker subclasses the engine; the
+modelcheck docstring describes its point, _add and hooks.
 """
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -176,15 +173,12 @@ class SatResult:
     branch: Branch = None
     stats: SearchStats = field(default_factory=SearchStats)
     trace: tuple = ()
-    _models: object = field(default=None, init=False, repr=False, compare=False)
 
-    @property
+    @functools.cached_property
     def models(self):
         """The witness ModelChain, read off the branch on first access and
         cached; None on UNSAT."""
-        if self._models is None and self.branch is not None:
-            self._models = _read_models(self.branch)
-        return self._models
+        return None if self.branch is None else _read_models(self.branch)
 
 
 class _Engine:
@@ -287,7 +281,7 @@ class _Engine:
         or None (it has no more) is popped, and what it yielded is sent to
         its parent.  The rest of the root's search is dropped, so nothing
         ever truncates the P it returns or the log."""
-        stack = [self._activate({}, [], root_entries, 0, sigma, 1, self.point, True)]
+        stack = [self._activate({}, [], root_entries, 0, sigma, 1, self.point)]
         got = None
         while stack:
             got = stack[-1].send(got)
@@ -298,7 +292,7 @@ class _Engine:
                 got = None
         return got
 
-    def _activate(self, P, order, adds, start, sigma, depth, state, box1):
+    def _activate(self, P, order, adds, start, sigma, depth, state):
         """The activation that owns P and order, started by adding adds to
         them: a generator that yields each child activation it needs the
         next completion of (solve sends it back, or None when the child has
@@ -308,8 +302,9 @@ class _Engine:
         exhausted activation costs more.  P, order and the log are undone
         in place on backtracking, so a consumer that keeps one must copy
         it before resuming the activation.  state is the model
-        state sigma is pinned to (None in sat); only an activation that
-        introduced sigma (box1) has BOX1 children.
+        state sigma is pinned to (None in sat).  Only an activation with
+        start 0, one that introduced sigma, asks for BOX1 children: a
+        quantifier child's inherited slice holds at least its own Er entry.
 
         P maps each entry to its position in order, its triples in
         insertion order.  The first start entries are the inherited slice,
@@ -423,7 +418,7 @@ class _Engine:
             if leaf and clash is not None and not (dias or boxes or ns):
                 self._reject_clash(clash)
             elif leaf:
-                boxes1, targets = self._box1_targets(boxes, state) if box1 else ((), ())
+                boxes1, targets = self._box1_targets(boxes, state) if start == 0 else ((), ())
                 nb = len(targets)
                 nd = nb + len(dias)
                 nk = nd + len(ns)
@@ -458,7 +453,7 @@ class _Engine:
                         child_order = [x for x in order if is_prefix_of(x[0], nu)]
                         childP = {x: j for j, x in enumerate(child_order)}
                         child = self._activate(childP, child_order, (new_entry,), len(child_order),
-                                               sigma, depth + 1, state, False)
+                                               sigma, depth + 1, state)
                         kids.append((child, None, nu, child_order, len(order), len(child_order)))
                     # move the innermost child to its next success
                     while kids:
@@ -474,7 +469,7 @@ class _Engine:
                                     for i, x in enumerate(premises):
                                         self._emit(rules[i > 0], x, [concls[i]])
                                 got = yield self._activate({}, [], concls, 0, concls[0][1],
-                                                           depth + 1, state_i, True)
+                                                           depth + 1, state_i)
                                 if got is not None:
                                     break
                         if got is None:

@@ -124,25 +124,6 @@ class RuleInstance:
         return f"{self.rule} on {render_entry(self.entry)}{extra}"
 
 
-def find_clash(triples):
-    """The first (mu, sigma, atom name) that the triples, read in order,
-    label with both polarities, or None."""
-    pos = set()
-    neg = set()
-    for mu, sigma, f in triples:
-        if isinstance(f, Atom):
-            key = (mu, sigma, f.name)
-            if key in neg:
-                return key
-            pos.add(key)
-        elif isinstance(f, NegAtom):
-            key = (mu, sigma, f.name)
-            if key in pos:
-                return key
-            neg.add(key)
-    return None
-
-
 class Branch:
     """An ordered, duplicate-free set of prefixed formulas plus the fresh
     index counter.  apply() returns a new Branch; entries are never removed."""
@@ -298,8 +279,16 @@ class Branch:
         raise ValueError(f"unknown rule {inst.rule!r}")
 
     def has_clash(self):
-        """A witness (mu, sigma, atom name) labeled with both polarities, or None."""
-        return find_clash(self._entries)
+        """The first (mu, sigma, atom name) that the entries, read in order,
+        label with both polarities, or None."""
+        polarity = {}  # the type of the first literal seen at each key
+        for mu, sigma, f in self._entries:
+            t = type(f)
+            if t is Atom or t is NegAtom:
+                key = (mu, sigma, f.name)
+                if polarity.setdefault(key, t) is not t:
+                    return key
+        return None
 
     def is_complete(self):
         return not self.applicable_instances()

@@ -154,6 +154,17 @@ class TestSat:
         assert "Traceback" in err and "RuntimeError: boom" in err
 
 
+    def test_out_of_memory_exit_three(self, monkeypatch, tmp_path):
+        def exhaust(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(solver, "sat", exhaust)
+        monkeypatch.setattr(cli.modelcheck, "check", exhaust)
+        model = write_model(tmp_path, point="s")
+        for argv in (["sat", "p"], ["check", "--model", model, "--formula", "p"]):
+            assert run(argv) == (3, "", "resource limit: out of memory\n")
+
+
 def cnf_core(names):
     """Every sign pattern over the names as clauses: unsatisfiable."""
     return " & ".join(

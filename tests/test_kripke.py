@@ -40,6 +40,41 @@ def brute_force_greatest(m, m2):
     return best
 
 
+class TestValueSemantics:
+    EDGES = [("a", "b"), ("b", "b"), ("a", "c")]
+
+    def test_equal_models_hash_equal(self):
+        m = KripkeModel(["a", "b", "c"], self.EDGES, {"a": ["p", "q"]})
+        edges = [("b", "b"), ("a", "c"), ("a", "b"), ("b", "b")]
+        m2 = KripkeModel(["c", "a", "b", "a"], edges, {"a": ["q", "p"]})
+        assert m == m2 and hash(m) == hash(m2)
+        assert m != KripkeModel(["a", "b", "c"], self.EDGES[:2], {"a": ["p", "q"]})
+        assert m != KripkeModel(["a", "b", "c"], self.EDGES, {"a": ["p"]})
+
+    def test_transitions_is_the_set_of_pairs(self):
+        m = KripkeModel(["a", "b", "c"], self.EDGES + [("a", "b")], {})
+        assert m.transitions == frozenset(self.EDGES)
+        assert type(m.transitions) is frozenset
+        assert m.successors("a") == ("b", "c")
+
+    def test_pointed_model_is_its_pair(self):
+        m = KripkeModel(["a", "b", "c"], self.EDGES, {})
+        a = PointedModel(m, "a")
+        assert a == PointedModel(KripkeModel(["c", "b", "a"], self.EDGES, {}), "a")
+        assert hash(a) == hash((m, "a"))
+        assert a != PointedModel(m, "b")
+        with pytest.raises(StateNotFound):
+            PointedModel(m, "zz")
+
+    def test_pointed_model_is_immutable(self):
+        a = PointedModel(single(), "s")
+        with pytest.raises(AttributeError):
+            a.point = "t"
+        with pytest.raises(AttributeError):
+            a.model = single(name="t")
+        assert a.point == "s"
+
+
 class TestVerifyRefinementMapping:
     def test_single_states_empty_valuations(self):
         m, m2 = single(), single(name="t")
