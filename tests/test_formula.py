@@ -210,6 +210,22 @@ class TestMetrics:
             assert m.d_diamond <= size(f)
             assert m.d_exists <= size(f)
 
+    def test_value_semantics(self):
+        m = DepthMetrics(1, 2)
+        assert (m.d_diamond, m.d_exists) == (1, 2)
+        assert m == DepthMetrics(d_diamond=1, d_exists=2) == DepthMetrics(1, d_exists=2)
+        assert m != DepthMetrics(2, 1) and not m != DepthMetrics(1, 2)
+        assert m != (1, 2) and not m == (1, 2)
+        assert hash(m) == hash((1, 2))
+        assert repr(m) == "DepthMetrics(d_diamond=1, d_exists=2)"
+        with pytest.raises(TypeError):
+            DepthMetrics(1)
+        with pytest.raises(AttributeError):
+            m.d_diamond = 3
+        with pytest.raises(AttributeError):
+            del m.d_exists
+        assert m == DepthMetrics(1, 2)
+
 
 class TestNormalize:
     def test_de_morgan(self):

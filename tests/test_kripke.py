@@ -74,6 +74,20 @@ class TestValueSemantics:
             a.model = single(name="t")
         assert a.point == "s"
 
+    def test_pointed_model_construction_and_repr(self):
+        m = single()
+        a = PointedModel(m, "s")
+        assert a == PointedModel(model=m, point="s") == PointedModel(m, point="s")
+        assert a.model is m and a.point == "s"
+        assert a != (m, "s") and not a == (m, "s")
+        assert not a != PointedModel(single(), "s")
+        assert repr(a) == "PointedModel(model=KripkeModel(states=1, transitions=0), point='s')"
+        assert not hasattr(a, "__dict__")
+        with pytest.raises(AttributeError):
+            del a.point
+        with pytest.raises(TypeError):
+            PointedModel(m)
+
 
 class TestVerifyRefinementMapping:
     def test_single_states_empty_valuations(self):

@@ -15,7 +15,9 @@ from rmlsat.modelcheck import check
 from rmlsat.oracle import oracle_eval, oracle_sat
 from rmlsat.solver import (
     ClashFailure,
+    SatResult,
     SearchState,
+    SearchStats,
     SolverOptions,
     run_activation,
     sat,
@@ -89,6 +91,72 @@ class TestRunActivation:
         assert final == entries(
             ([1], [1], "Er (p | q)"), ([1], [1], "Er !p"), ([1], [1], "q"), ([1], [1], "!p")
         )
+
+
+STATS_REPR = (
+    "SearchStats(activations=0, max_depth=0, max_p_size=0, backtracks=0,"
+    " max_model_prefix_len=0, max_state_prefix_len=0)"
+)
+
+
+class TestValueTypes:
+    """SolverOptions, SearchStats, SearchState and SatResult: field-wise
+    equality and repr, mutable, unhashable."""
+
+    def test_solver_options(self):
+        out = io.StringIO()
+        o = SolverOptions()
+        assert (o.node_budget, o.time_budget, o.trace, o.trace_out) == (10**6, None, False, None)
+        assert SolverOptions(5, 1.5, True, out) == SolverOptions(
+            node_budget=5, time_budget=1.5, trace=True, trace_out=out
+        )
+        assert o == SolverOptions() and o != SolverOptions(node_budget=5)
+        assert o != (10**6, None, False, None)
+        assert repr(o) == "SolverOptions(node_budget=1000000, time_budget=None, trace=False, trace_out=None)"
+        o.trace = True
+        assert o == SolverOptions(trace=True)
+
+    def test_search_stats(self):
+        s = SearchStats()
+        assert s == SearchStats(0, 0, 0, 0, 0, 0) and s != (0, 0, 0, 0, 0, 0)
+        assert SearchStats(1, 2, 3, 4, 5, 6) == SearchStats(
+            activations=1, max_depth=2, max_p_size=3, backtracks=4,
+            max_model_prefix_len=5, max_state_prefix_len=6,
+        )
+        assert repr(s) == STATS_REPR
+        s.activations += 1
+        assert s != SearchStats() and s == SearchStats(activations=1)
+
+    def test_search_state(self):
+        e = entries(([1], [1], "p"))
+        st = SearchState(e)
+        assert (st.entries, st.sigma, st.counter) == (e, (1,), 1)
+        assert st == SearchState(entries=e, sigma=(1,), counter=1) == SearchState(e, (1,), 1)
+        assert st != SearchState(e, (1, 2)) and st != (e, (1,), 1)
+        assert repr(st) == "SearchState(entries=(((1,), (1,), Atom<p>),), sigma=(1,), counter=1)"
+        st.counter = 4
+        assert st == SearchState(e, counter=4)
+
+    def test_sat_result(self):
+        r = SatResult(False)
+        assert (r.satisfiable, r.branch, r.stats, r.trace) == (False, None, SearchStats(), ())
+        assert r.stats is not SatResult(False).stats
+        assert r == SatResult(satisfiable=False) and r != SatResult(True)
+        assert r != (False, None, SearchStats(), ())
+        assert repr(r) == f"SatResult(satisfiable=False, branch=None, stats={STATS_REPR}, trace=())"
+        res = sat(parse("<>p"))
+        same = SatResult(res.satisfiable, res.branch, res.stats, res.trace)
+        assert res.models is not None and "models" not in repr(res)
+        assert res == same and not res != same
+        r.trace = ("x",)
+        assert r.trace == ("x",)
+
+    @pytest.mark.parametrize("make", [
+        SolverOptions, SearchStats, lambda: SearchState(()), lambda: SatResult(True),
+    ])
+    def test_unhashable(self, make):
+        with pytest.raises(TypeError):
+            hash(make())
 
 
 class TestInheritedEntries:

@@ -2,15 +2,17 @@ import pytest
 
 from rmlsat import gen
 from rmlsat.formula import parse
-from rmlsat.kripke import verify_refinement_mapping
+from rmlsat.kripke import KripkeModel, verify_refinement_mapping
 from rmlsat.solver import SolverOptions, sat
 from rmlsat.tableau import (
     Branch,
     ChoiceForbidden,
     ChoiceRequired,
     Clash,
+    ChainModel,
     ModelChain,
     NotComplete,
+    RuleInstance,
     extract_models,
     format_rule_line,
     is_prefix_of,
@@ -225,6 +227,51 @@ def scan_dia_witness(b, mu, sigma, body):
 
 def scan_exr_witness(b, mu, sigma, body):
     return any(s == sigma and m[:-1] == mu and len(m) > 1 and f == body for m, s, f in b.entries)
+
+
+class TestValueTypes:
+    """RuleInstance is frozen and hashes as its fields; ChainModel and
+    ModelChain are mutable and unhashable; all compare and print field-wise."""
+
+    def test_rule_instance(self):
+        e = entry([1], [1], "p & q")
+        r = RuleInstance("and", e)
+        assert (r.rule, r.entry, r.target) == ("and", e, None)
+        assert r == RuleInstance(rule="and", entry=e, target=None) == RuleInstance("and", e, None)
+        assert r != RuleInstance("and", e, (1,)) and r != ("and", e, None)
+        assert hash(r) == hash(("and", e, None))
+        assert repr(r) == "RuleInstance(rule='and', entry=((1,), (1,), And<(p & q)>), target=None)"
+        assert str(RuleInstance("box", entry([1], [1], "[]p"), (1, 2))) == "box on (1,1) []p target=1.2"
+        with pytest.raises(AttributeError):
+            r.target = (1,)
+        with pytest.raises(AttributeError):
+            del r.rule
+
+    def test_chain_model(self):
+        m = KripkeModel(["1"], [], {"1": ["p"]})
+        c = ChainModel((1,), m, "1")
+        assert c == ChainModel(prefix=(1,), model=m, point="1") and c != ((1,), m, "1")
+        assert c != ChainModel((1, 2), m, "1")
+        assert repr(c) == "ChainModel(prefix=(1,), model=KripkeModel(states=1, transitions=0), point='1')"
+        c.point = "2"
+        assert c.point == "2"
+        with pytest.raises(TypeError):
+            hash(c)
+
+    def test_model_chain(self):
+        a, b = ModelChain(), ModelChain()
+        assert a.chain == [] and a.chain is not b.chain
+        assert a == b == ModelChain(chain=[]) and a != ([],)
+        m = KripkeModel(["1"], [], {})
+        a.chain.append(ChainModel((1,), m, "1"))
+        assert a != b and a == ModelChain([ChainModel((1,), m, "1")])
+        assert repr(b) == "ModelChain(chain=[])"
+        assert repr(a) == (
+            "ModelChain(chain=[ChainModel(prefix=(1,), model="
+            "KripkeModel(states=1, transitions=0), point='1')])"
+        )
+        with pytest.raises(TypeError):
+            hash(a)
 
 
 class TestIndex:
