@@ -34,10 +34,8 @@ explicit stacks, so nesting depth alone does not make them exit 4.
 import argparse
 import functools
 import json
-import multiprocessing
 import os
 import sys
-import traceback
 
 from . import gen, modelcheck, oracle, solver
 from .errors import ResourceLimit
@@ -182,6 +180,8 @@ def _cmd_fuzz(args):
         ]
     texts = [render(f) for f in formulas]
     if args.jobs > 1:
+        import multiprocessing
+
         with multiprocessing.get_context("fork").Pool(args.jobs) as pool:
             rows = pool.map(one, texts, chunksize=64)
     else:
@@ -319,6 +319,8 @@ def main(argv=None):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
     except Exception:
+        import traceback
+
         traceback.print_exc()
         print("internal error", file=sys.stderr)
         return EXIT_INTERNAL

@@ -35,7 +35,8 @@ without recursion.
 """
 
 import re
-from dataclasses import dataclass
+
+from ._record import _Frozen
 
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*")
 
@@ -225,12 +226,14 @@ def render(f):
     return "".join(out)
 
 
-@dataclass(frozen=True)
-class DepthMetrics:
+class DepthMetrics(_Frozen):
     """Nesting depths: d_diamond counts <>/[] nesting, d_exists counts Er nesting."""
 
-    d_diamond: int
-    d_exists: int
+    __match_args__ = ("d_diamond", "d_exists")
+
+    def __init__(self, d_diamond, d_exists):
+        object.__setattr__(self, "d_diamond", d_diamond)
+        object.__setattr__(self, "d_exists", d_exists)
 
 
 def metrics(f):

@@ -12,8 +12,8 @@ which is what the unravel/restriction machinery below exploits.
 A KripkeModel keeps its edges once, as one sorted successor tuple per
 state, checked against the state set as it is built; its transitions
 are a view of that adjacency, and its equality and hash read it and the
-valuation.  A PointedModel is a frozen dataclass of a model and a state
-of it.
+valuation.  A PointedModel is an immutable pair of a model and a state
+of it; it compares and hashes as the tuple (model, point).
 
 Model file format (JSON): an object with "states" (list of strings),
 "transitions" (list of [from, to] pairs), "valuation" (state -> list of
@@ -22,7 +22,8 @@ optional "point".
 """
 
 import json
-from dataclasses import dataclass
+
+from ._record import _Frozen
 
 __all__ = [
     "KripkeModel",
@@ -110,16 +111,16 @@ class KripkeModel:
         return f"KripkeModel(states={len(self.states)}, transitions={n})"
 
 
-@dataclass(frozen=True, slots=True)
-class PointedModel:
+class PointedModel(_Frozen):
     """A model with a designated state."""
 
-    model: KripkeModel
-    point: str
+    __slots__ = __match_args__ = ("model", "point")
 
-    def __post_init__(self):
-        if self.point not in self.model.valuation:
-            raise StateNotFound(f"point {self.point!r} not a state")
+    def __init__(self, model, point):
+        if point not in model.valuation:
+            raise StateNotFound(f"point {point!r} not a state")
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "point", point)
 
 
 class RefinementRelation:

@@ -63,8 +63,8 @@ modelcheck docstring describes its point, _add and hooks.
 
 import functools
 import time
-from dataclasses import dataclass, field
 
+from ._record import _Record
 from .errors import ResourceLimit
 from .formula import (
     And,
@@ -131,22 +131,41 @@ class ClashFailure(Exception):
         self.witness = witness
 
 
-@dataclass
-class SolverOptions:
-    node_budget: int = 10**6        # maximum activations per run
-    time_budget: float = None       # seconds, None for unlimited
-    trace: bool = False             # record trace lines in SatResult.trace
-    trace_out: object = None        # stream for live trace lines; also turns tracing on
+class SolverOptions(_Record):
+    __match_args__ = ("node_budget", "time_budget", "trace", "trace_out")
+
+    def __init__(self, node_budget=10**6, time_budget=None, trace=False, trace_out=None):
+        self.node_budget = node_budget  # maximum activations per run
+        self.time_budget = time_budget  # seconds, None for unlimited
+        self.trace = trace  # record trace lines in SatResult.trace
+        self.trace_out = trace_out  # stream for live trace lines; also turns tracing on
 
 
-@dataclass
-class SearchStats:
-    activations: int = 0
-    max_depth: int = 0
-    max_p_size: int = 0
-    backtracks: int = 0
-    max_model_prefix_len: int = 0
-    max_state_prefix_len: int = 0
+class SearchStats(_Record):
+    __match_args__ = (
+        "activations",
+        "max_depth",
+        "max_p_size",
+        "backtracks",
+        "max_model_prefix_len",
+        "max_state_prefix_len",
+    )
+
+    def __init__(
+        self,
+        activations=0,
+        max_depth=0,
+        max_p_size=0,
+        backtracks=0,
+        max_model_prefix_len=0,
+        max_state_prefix_len=0,
+    ):
+        self.activations = activations
+        self.max_depth = max_depth
+        self.max_p_size = max_p_size
+        self.backtracks = backtracks
+        self.max_model_prefix_len = max_model_prefix_len
+        self.max_state_prefix_len = max_state_prefix_len
 
     def summary(self):
         return (
@@ -157,22 +176,29 @@ class SearchStats:
         )
 
 
-@dataclass
-class SearchState:
+class SearchState(_Record):
     """One activation's input: the triples P, the current state prefix
     and the fresh-index counter."""
 
-    entries: tuple
-    sigma: tuple = (1,)
-    counter: int = 1
+    __match_args__ = ("entries", "sigma", "counter")
+
+    def __init__(self, entries, sigma=(1,), counter=1):
+        self.entries = entries
+        self.sigma = sigma
+        self.counter = counter
 
 
-@dataclass
-class SatResult:
-    satisfiable: bool
-    branch: Branch = None
-    stats: SearchStats = field(default_factory=SearchStats)
-    trace: tuple = ()
+class SatResult(_Record):
+    """A verdict with its branch (None on UNSAT), stats and trace lines;
+    stats defaults to a fresh SearchStats."""
+
+    __match_args__ = ("satisfiable", "branch", "stats", "trace")
+
+    def __init__(self, satisfiable, branch=None, stats=None, trace=()):
+        self.satisfiable = satisfiable
+        self.branch = branch
+        self.stats = SearchStats() if stats is None else stats
+        self.trace = trace
 
     @functools.cached_property
     def models(self):

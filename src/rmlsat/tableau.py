@@ -45,8 +45,7 @@ states of all its refinements, and a state's name is its full prefix,
 so the witness JSON grows with depth times states.
 """
 
-from dataclasses import dataclass, field
-
+from ._record import _Frozen, _Record
 from .formula import And, Atom, Box, Diamond, ExistsR, NegAtom, Or, is_literal, render
 from .kripke import KripkeModel, RefinementRelation, model_from_dict, model_to_dict
 
@@ -106,8 +105,7 @@ def format_rule_line(rule, entry, conclusions):
     return f"{rule} {render_entry(entry)} => {concl}"
 
 
-@dataclass(frozen=True)
-class RuleInstance:
+class RuleInstance(_Frozen):
     """One applicable rule application.
 
     target carries the extra datum a rule needs: the ancestor model
@@ -115,9 +113,12 @@ class RuleInstance:
     otherwise.
     """
 
-    rule: str
-    entry: tuple
-    target: tuple = None
+    __match_args__ = ("rule", "entry", "target")
+
+    def __init__(self, rule, entry, target=None):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "entry", entry)
+        object.__setattr__(self, "target", target)
 
     def __str__(self):
         extra = f" target={render_prefix(self.target)}" if self.target else ""
@@ -297,19 +298,23 @@ class Branch:
 # --- model extraction -------------------------------------------------------
 
 
-@dataclass
-class ChainModel:
-    prefix: tuple
-    model: KripkeModel
-    point: str
+class ChainModel(_Record):
+    __match_args__ = ("prefix", "model", "point")
+
+    def __init__(self, prefix, model, point):
+        self.prefix = prefix
+        self.model = model
+        self.point = point
 
 
-@dataclass
-class ModelChain:
+class ModelChain(_Record):
     """The models read off a branch, sorted by model prefix.  Each entry's
     point is the state where the model was introduced."""
 
-    chain: list = field(default_factory=list)
+    __match_args__ = ("chain",)
+
+    def __init__(self, chain=None):
+        self.chain = [] if chain is None else chain
 
     def __len__(self):
         return len(self.chain)

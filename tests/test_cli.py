@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -435,7 +436,7 @@ class TestFuzz:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was requested")
 
-        monkeypatch.setattr(cli.multiprocessing, "get_context", no_pool)
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
         code, out, err = run(["fuzz", "--size", "3", "--count", "5", "--jobs", jobs])
         assert (code, out) == (2, "")
         assert "error: --jobs must be between 1 and 64" in err
@@ -499,6 +500,20 @@ class TestUsage:
         proc.stdout.close()
         assert proc.wait(timeout=60) == 141
         assert "internal error" not in proc.stderr.read().decode()
+
+
+def test_cold_import_loads_no_dataclasses_or_multiprocessing():
+    # -S: no site hook may import these modules first and hide an import
+    # from rmlsat; each of them adds milliseconds to every CLI start-up
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import rmlsat; import rmlsat.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'multiprocessing'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 @pytest.mark.parametrize(
