@@ -249,6 +249,27 @@ class TestStats:
         res = sat(parse("p"))
         assert res.stats.summary().startswith("activations=1 ")
 
+    @pytest.mark.parametrize(
+        "wrap, max_p", [("Er <>({})", 31), ("<>Er ({})", 32)], ids=["er-dia", "dia-er"]
+    )
+    def test_cnf_core_search_shape(self, wrap, max_p):
+        # all eight sign patterns over c0..c2: unsatisfiable, and the search
+        # tries every or choice before it can say so
+        clauses = " & ".join(
+            "(" + " | ".join(("!" if neg else "") + v for v, neg in zip(("c0", "c1", "c2"), signs)) + ")"
+            for signs in itertools.product((False, True), repeat=3)
+        )
+        res = sat(parse(wrap.format(clauses)), SolverOptions(trace=True))
+        assert res.satisfiable is False
+        assert res.stats.summary() == (
+            f"activations=3 max_depth=3 max_p={max_p} backtracks=2401 max_mu_len=2 max_sigma_len=2"
+        )
+        rules = {}
+        for line in res.trace:
+            rule = line.split(" ", 1)[0]
+            rules[rule] = rules.get(rule, 0) + 1
+        assert rules == {"EXR": 1, "DIA": 1, "AND": 164, "OR": 4800, "L": 3045, "REJECT": 2401}
+
 
 class TestDeterminism:
     def test_identical_runs(self):
