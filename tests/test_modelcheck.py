@@ -105,6 +105,33 @@ class TestStatePinning:
         assert verdict is False
         assert "max_sigma_len=2" in summary.split()
 
+    def test_rejected_batch_leaves_max_p(self):
+        # the AND batch adds []p before p is rejected at v: max_p stays at
+        # the one entry the BOX1 child started with
+        a = pm(["u", "v"], [("u", "v")], {}, "u")
+        assert traced_check(a, "[]([]p & p)") == (
+            False,
+            [
+                "BOX1 (1,1) []([]p & p) => (1,1.1) ([]p & p)",
+                "AND (1,1.1) ([]p & p) => (1,1.1) []p; (1,1.1) p",
+                "REJECT (1,1.1) literal p",
+            ],
+            "activations=2 max_depth=2 max_p=1 backtracks=1 max_mu_len=1 max_sigma_len=2",
+        )
+
+    def test_both_or_alternatives_rejected(self):
+        a = pm(["s"], [], {}, "s")
+        assert traced_check(a, "(q | p)") == (
+            False,
+            [
+                "OR (1,1) (q | p) => (1,1) q",
+                "REJECT (1,1) literal q",
+                "OR (1,1) (q | p) => (1,1) p",
+                "REJECT (1,1) literal p",
+            ],
+            "activations=1 max_depth=1 max_p=1 backtracks=2 max_mu_len=1 max_sigma_len=1",
+        )
+
     def test_deep_mixed_children_on_a_two_cycle(self):
         # every level has a diamond child and a BOX1 child, pinned to
         # states that alternate between a (p) and b (no p)
