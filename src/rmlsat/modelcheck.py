@@ -25,14 +25,15 @@ literals at model prefix 1, so its boxes there are its parent's, which
 the parent's BOX1 children already carry to every successor.  Two
 fresh prefixes at the same state may be pinned to the same model state.
 
-The checker's engine sets the engine's point, the root's state, and
-overrides _add, which rejects a literal that does not hold at the
-activation's state and keeps no log (check needs only a verdict, so it
-builds no list of produced triples), and two hooks: a fresh successor prefix's target
-states are its state's successors, and _box1_targets returns the boxes
-at model prefix 1 and every successor of the state, each made a BOX1
-child, the first choice points on the stack that also holds the leaf's
-diamond and quantifier children.  Activations run from one explicit
+The checker's engine sets the engine's point, the root's state, and its
+valuation: with a pinned state the engine's add blocks reject a new
+literal that does not hold there and keep no log (check needs only a
+verdict, so it builds no list of produced triples).  It overrides two
+hooks: a fresh successor prefix's target states are its state's
+successors, and _box1_targets returns the boxes at model prefix 1 and
+every successor of the state, each made a BOX1 child, the first choice
+points on the stack that also holds the leaf's diamond and quantifier
+children.  Activations run from one explicit
 stack, so 10,000 nested `<>` or `[]` over `p` are decided on a one-state
 loop, in time and memory that grow with the whole-path state prefixes.
 
@@ -90,29 +91,7 @@ class _CheckEngine(_Engine):
         super().__init__(opts)
         self.m = pointed.model
         self.point = pointed.point
-
-    def _add(self, P, order, adds, state):
-        """The engine's _add without the log, but a new literal entry must
-        hold at state: False, after the reject, if it does not."""
-        st = self.stats
-        true_atoms = self.m.valuation[state]
-        for a in adds:
-            if a in P:
-                continue
-            f = a[2]
-            t = type(f)
-            if (t is Atom or t is NegAtom) and (f.name in true_atoms) != (t is Atom):
-                self._reject_literal(a)
-                return False
-            P[a] = len(order)
-            order.append(a)
-            if len(a[0]) > st.max_model_prefix_len:
-                st.max_model_prefix_len = len(a[0])
-            if len(a[1]) > st.max_state_prefix_len:
-                st.max_state_prefix_len = len(a[1])
-        if len(P) > st.max_p_size:
-            st.max_p_size = len(P)
-        return True
+        self.valuation = self.m.valuation
 
     def _successor_states(self, state):
         return self.m.successors(state)

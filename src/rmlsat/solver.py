@@ -51,14 +51,15 @@ processed (0 except in a quantifier child), an activation:
    child's slice, so the child would have rejected.
 
 Fresh indices come from one counter per run, never reset while
-backtracking, so every prefix produced during a run is unique.  _add
-also appends each new triple to the run's one log, which the choice
-points cut back; at the root's accepted completion it holds the path's
-triples in order, a branch that sat() checks is complete and clash-free.
+backtracking, so every prefix produced during a run is unique.  In sat
+each triple new to P is also appended to the run's one log, which the
+choice points cut back; at the root's accepted completion it holds the
+path's triples in order, a branch that sat() checks is complete and
+clash-free.
 
 Each activation is passed the one model state its state prefix is
 pinned to (None in sat).  The model checker subclasses the engine; the
-modelcheck docstring describes its point, _add and hooks.
+modelcheck docstring describes its point, valuation and hooks.
 """
 
 import functools
@@ -75,7 +76,6 @@ from .formula import (
     NegAtom,
     Or,
     check_fragment,
-    is_literal,
     render,
 )
 from .tableau import (
@@ -83,7 +83,6 @@ from .tableau import (
     _check_acceptance,
     _read_models,
     format_rule_line,
-    is_prefix_of,
     render_prefix,
 )
 
@@ -106,18 +105,12 @@ __all__ = [
 # call.  The key hashes and compares in C, with no call of
 # Formula.__hash__ or __eq__.
 _COMPLEMENTS = {}
+_LITERALS = (Atom, NegAtom)
 
 
 def _complement(t, name):
     c = _COMPLEMENTS[t, name] = NegAtom(name) if t is Atom else Atom(name)
     return c
-
-
-def _truncate(P, order, m):
-    """Undo every addition to P and order past position m."""
-    for a in order[m:]:
-        del P[a]
-    del order[m:]
 
 
 class ClashFailure(Exception):
@@ -211,6 +204,7 @@ class _Engine:
     def __init__(self, opts=None):
         self.opts = opts or SolverOptions()
         self.point = None  # the model state the root's prefix is pinned to
+        self.valuation = None  # state -> its true atoms; set by the model checker
         self.counter = 1
         self.stats = SearchStats()
         self.trace = [] if self.opts.trace or self.opts.trace_out is not None else None
@@ -267,27 +261,6 @@ class _Engine:
         i = self.counter
         self.counter += 1
         return i
-
-    def _add(self, P, order, adds, state):
-        """Append the adds not yet in P to order and to the log and record
-        their positions in P, in place.  True: satisfiability admits every
-        literal; the model checker's override returns False on one that is
-        inadmissible."""
-        st = self.stats
-        log = self.log
-        for a in adds:
-            if a in P:
-                continue
-            P[a] = len(order)
-            order.append(a)
-            log.append(a)
-            if len(a[0]) > st.max_model_prefix_len:
-                st.max_model_prefix_len = len(a[0])
-            if len(a[1]) > st.max_state_prefix_len:
-                st.max_state_prefix_len = len(a[1])
-        if len(P) > st.max_p_size:
-            st.max_p_size = len(P)
-        return True
 
     def _check_time(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -347,6 +320,15 @@ class _Engine:
         literal steps extend P in place, so at a saturated leaf every
         and/or/literal of P is processed.
 
+        New triples enter P through two add blocks written out in place,
+        with no call per triple: the start adds, where fresh prefixes enter
+        and so the only place prefix lengths are counted, and one in the
+        loop for each and/or/literal step and an or's right alternative.
+        With state pinned (check) a new literal false at state rejects its
+        batch after the triples before it went in, and max_p stays; in sat
+        each new triple is logged.  P's keys keep order's order, so undoing
+        pops P's last items and hashes nothing.
+
         An or is a choice point on the stack ors: the or entry, the cursor
         and clash witness just past it, and the lengths of order, the log
         and the three buckets.  The left alternative extends P in place.
@@ -365,14 +347,32 @@ class _Engine:
         activation when pushed; rules is None, premises is its model prefix
         nu, conclusions its order and the last slot its start, and each
         alternative is that activation's next completion, whose own
-        literals at ancestor prefixes of nu are merged into P.  Its
+        literals at ancestor prefixes of nu are merged into P.  A prefix
+        test a[:len(b)] == b holds exactly when is_prefix_of(b, a).  Its
         choice point keeps no log length and does not cut the log: the
         suspended child cuts it through its own choice points, which all
         lie above the length at push."""
-        if not self._add(P, order, adds, state):
-            yield None
-            return
         st = self.stats
+        true_atoms = None if state is None else self.valuation[state]
+        log = self.log
+        for a in adds:
+            if a in P:
+                continue
+            if true_atoms is None:
+                log.append(a)
+            elif type(a[2]) in _LITERALS and (a[2].name in true_atoms) != (type(a[2]) is Atom):
+                self._reject_literal(a)
+                yield None
+                return
+            P[a] = len(order)
+            order.append(a)
+            if len(a[0]) > st.max_model_prefix_len:
+                st.max_model_prefix_len = len(a[0])
+            if len(a[1]) > st.max_state_prefix_len:
+                st.max_state_prefix_len = len(a[1])
+        n = len(order)
+        if n > st.max_p_size:
+            st.max_p_size = n
         st.activations += 1
         if st.activations > self.opts.node_budget:
             raise ResourceLimit(f"activation budget exhausted ({self.opts.node_budget})")
@@ -381,15 +381,35 @@ class _Engine:
             st.max_depth = depth
         tracing = self.trace is not None
         deadline = self.deadline
-        add = self._add
         complements = _COMPLEMENTS
         dias, boxes, ns = [], [], []
         cursor, clash = 0, None
         ors = []
+        adds = None
         while True:
-            n = len(order)
-            leaf = True
-            while cursor < n:
+            while True:
+                if adds is not None:
+                    # the add block; n is len(order), which is len(P)
+                    for a in adds:
+                        if true_atoms is not None:
+                            f = a[2]
+                            t = type(f)
+                            if (t is Atom or t is NegAtom) and (f.name in true_atoms) != (t is Atom):
+                                self._reject_literal(a)
+                                break
+                        if P.setdefault(a, n) == n:
+                            order.append(a)
+                            n += 1
+                            if true_atoms is None:
+                                log.append(a)
+                    else:
+                        adds = None
+                        if n > st.max_p_size:
+                            st.max_p_size = n
+                    if adds is not None:
+                        break
+                if cursor == n:
+                    break
                 e = order[cursor]
                 cursor += 1
                 f = e[2]
@@ -405,11 +425,14 @@ class _Engine:
                     if len(e[0]) == 1 or cursor <= start:
                         continue
                     nu, sg, _ = e
-                    adds = [(nu[:k], sg, f) for k in range(len(nu) - 1, 0, -1)]
-                    adds = [x for x in adds if x not in P]
-                    if not adds:
-                        continue
-                    if tracing:
+                    k = len(nu) - 1
+                    while k:
+                        x = (nu[:k], sg, f)
+                        k -= 1
+                        if x not in P:
+                            adds = adds or []
+                            adds.append(x)
+                    if tracing and adds is not None:
                         self._emit("L", e, adds)
                 elif t is And or t is Or:
                     if cursor <= start:
@@ -420,30 +443,24 @@ class _Engine:
                         if tracing:
                             self._emit("AND", e, adds)
                     else:
-                        ors.append((e, cursor, clash, len(order), len(self.log), len(dias),
-                                    len(boxes), len(ns)))
+                        ors.append((e, cursor, clash, n, len(log), len(dias), len(boxes), len(ns)))
                         if deadline is not None:
                             self._check_time()
                         adds = ((nu, sg, f.left),)
                         if tracing:
                             self._emit("OR", e, adds)
-                else:
-                    if t is Diamond:
-                        if cursor > start:
-                            dias.append(e)
-                    elif t is Box:
-                        if e[1] == sigma:
-                            boxes.append(e)
-                    elif t is ExistsR and cursor > start:
-                        ns.append(e)
-                    continue
-                if not add(P, order, adds, state):
-                    leaf = False
-                    break
-                n = len(order)
-            if leaf and clash is not None and not (dias or boxes or ns):
+                elif t is Diamond:
+                    if cursor > start:
+                        dias.append(e)
+                elif t is Box:
+                    if e[1] == sigma:
+                        boxes.append(e)
+                elif t is ExistsR and cursor > start:
+                    ns.append(e)
+            # adds is not None when a literal of the last batch was rejected
+            if adds is None and clash is not None and not (dias or boxes or ns):
                 self._reject_clash(clash)
-            elif leaf:
+            elif adds is None:
                 boxes1, targets = self._box1_targets(boxes, state) if start == 0 else ((), ())
                 nb = len(targets)
                 nd = nb + len(dias)
@@ -465,10 +482,10 @@ class _Engine:
                             e = dias[k - nb]
                             nu = e[0]
                             rules = ("DIA", "BOX")
-                            premises = [e] + [b for b in boxes if is_prefix_of(b[0], nu)]
+                            premises = [e] + [b for b in boxes if nu[: len(b[0])] == b[0]]
                             states = self._successor_states(state)
                         concls = [(x[0], sigma_i, x[2].body) for x in premises]
-                        kids.append((iter(states), rules, premises, concls, len(order), len(self.log)))
+                        kids.append((iter(states), rules, premises, concls, len(order), len(log)))
                     else:
                         e = ns[k - nd]
                         nu = e[0]
@@ -476,21 +493,24 @@ class _Engine:
                         self._emit("EXR", e, [new_entry])
                         # the ancestor-prefix slice of P was admitted at this same
                         # state, so only the new entry needs the literal check
-                        child_order = [x for x in order if is_prefix_of(x[0], nu)]
-                        childP = {x: j for j, x in enumerate(child_order)}
-                        child = self._activate(childP, child_order, (new_entry,), len(child_order),
+                        child_order = [x for x in order if nu[: len(x[0])] == x[0]]
+                        m = len(child_order)
+                        childP = dict(zip(child_order, range(m)))
+                        child = self._activate(childP, child_order, (new_entry,), m,
                                                sigma, depth + 1, state)
-                        kids.append((child, None, nu, child_order, len(order), len(child_order)))
+                        kids.append((child, None, nu, child_order, len(order), m))
                     # move the innermost child to its next success
                     while kids:
                         alts, rules, premises, concls, m, c = kids[-1]
-                        _truncate(P, order, m)
+                        for _ in range(len(order) - m):
+                            P.popitem()
+                        del order[m:]
                         if rules is None:
                             got = yield alts
                         else:
                             got = None
                             for state_i in alts:
-                                del self.log[c:]
+                                del log[c:]
                                 if tracing:
                                     for i, x in enumerate(premises):
                                         self._emit(rules[i > 0], x, [concls[i]])
@@ -502,9 +522,10 @@ class _Engine:
                             kids.pop()
                             continue
                         if rules is None:
-                            # concls is the child's order and c its start
+                            # concls is the child's order and c its start; its
+                            # literals at ancestor prefixes of nu join P
                             for x in concls[c:]:
-                                if is_prefix_of(x[0], premises) and is_literal(x[2]):
+                                if premises[: len(x[0])] == x[0] and type(x[2]) in _LITERALS:
                                     P[x] = len(order)
                                     order.append(x)
                             if len(P) > st.max_p_size:
@@ -513,20 +534,19 @@ class _Engine:
                     else:
                         break
             # take the right alternative of the innermost or choice point
-            while ors:
-                e, cursor, clash, m, lg, ld, lb, ln = ors.pop()
-                _truncate(P, order, m)
-                del self.log[lg:]
-                del dias[ld:], boxes[lb:], ns[ln:]
-                if deadline is not None:
-                    self._check_time()
-                adds = ((e[0], e[1], e[2].right),)
-                if tracing:
-                    self._emit("OR", e, adds)
-                if add(P, order, adds, state):
-                    break
-            else:
+            if not ors:
                 break
+            e, cursor, clash, n, lg, ld, lb, ln = ors.pop()
+            for _ in range(len(order) - n):
+                P.popitem()
+            del order[n:]
+            del log[lg:]
+            del dias[ld:], boxes[lb:], ns[ln:]
+            if deadline is not None:
+                self._check_time()
+            adds = ((e[0], e[1], e[2].right),)
+            if tracing:
+                self._emit("OR", e, adds)
         yield None
 
 
