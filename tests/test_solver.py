@@ -182,6 +182,83 @@ class TestInheritedEntries:
             "REJECT (1,1) clash p",
         )
 
+    def test_inherited_clash_shallower_than_the_parents(self):
+        # the diamond child's first clash is p at (1.1,1.2); its Er q child
+        # (model prefix 1) inherits only the L copies at (1,1.2), whose
+        # clash comes later in the parent's order, and rejects on that one
+        res = sat(parse("[]Er q & Er <>(p & !p)"), SolverOptions(trace=True))
+        assert not res.satisfiable
+        assert res.stats.summary() == (
+            "activations=4 max_depth=4 max_p=6 backtracks=1 max_mu_len=2 max_sigma_len=2"
+        )
+        assert res.trace == (
+            "AND (1,1) ([]Er q & Er <>(p & !p)) => (1,1) []Er q; (1,1) Er <>(p & !p)",
+            "EXR (1,1) Er <>(p & !p) => (1.1,1) <>(p & !p)",
+            "DIA (1.1,1) <>(p & !p) => (1.1,1.2) (p & !p)",
+            "BOX (1,1) []Er q => (1,1.2) Er q",
+            "AND (1.1,1.2) (p & !p) => (1.1,1.2) p; (1.1,1.2) !p",
+            "L (1.1,1.2) p => (1,1.2) p",
+            "L (1.1,1.2) !p => (1,1.2) !p",
+            "EXR (1,1.2) Er q => (1.3,1.2) q",
+            "L (1.3,1.2) q => (1,1.2) q",
+            "REJECT (1,1.2) clash p",
+        )
+
+    @pytest.mark.parametrize(
+        "text, summary, trace",
+        [
+            (
+                # []p at model prefix 1 passes through two quantifier
+                # children to the premises of the inner one's diamond
+                "[]p & Er ([]q & Er <>r)",
+                "activations=4 max_depth=4 max_p=7 backtracks=0 max_mu_len=3 max_sigma_len=2",
+                (
+                    "AND (1,1) ([]p & Er ([]q & Er <>r)) => (1,1) []p; (1,1) Er ([]q & Er <>r)",
+                    "EXR (1,1) Er ([]q & Er <>r) => (1.1,1) ([]q & Er <>r)",
+                    "AND (1.1,1) ([]q & Er <>r) => (1.1,1) []q; (1.1,1) Er <>r",
+                    "EXR (1.1,1) Er <>r => (1.1.2,1) <>r",
+                    "DIA (1.1.2,1) <>r => (1.1.2,1.3) r",
+                    "BOX (1,1) []p => (1,1.3) p",
+                    "BOX (1.1,1) []q => (1.1,1.3) q",
+                    "L (1.1.2,1.3) r => (1.1,1.3) r; (1,1.3) r",
+                    "L (1.1,1.3) q => (1,1.3) q",
+                ),
+            ),
+            (
+                # the diamond child at 1.2 holds boxes at model prefixes 1
+                # and 1.1; its Er <>c child (model prefix 1) inherits only
+                # those at 1, so []!g and []f reach c's diamond and []g,
+                # which would clash with []!g there, does not
+                "[][]!g & [](Er <>c & []f) & Er ([][]g & <>e)",
+                "activations=5 max_depth=5 max_p=8 backtracks=0 max_mu_len=2 max_sigma_len=3",
+                (
+                    "AND (1,1) (([][]!g & [](Er <>c & []f)) & Er ([][]g & <>e))"
+                    " => (1,1) ([][]!g & [](Er <>c & []f)); (1,1) Er ([][]g & <>e)",
+                    "AND (1,1) ([][]!g & [](Er <>c & []f)) => (1,1) [][]!g; (1,1) [](Er <>c & []f)",
+                    "EXR (1,1) Er ([][]g & <>e) => (1.1,1) ([][]g & <>e)",
+                    "AND (1.1,1) ([][]g & <>e) => (1.1,1) [][]g; (1.1,1) <>e",
+                    "DIA (1.1,1) <>e => (1.1,1.2) e",
+                    "BOX (1,1) [][]!g => (1,1.2) []!g",
+                    "BOX (1,1) [](Er <>c & []f) => (1,1.2) (Er <>c & []f)",
+                    "BOX (1.1,1) [][]g => (1.1,1.2) []g",
+                    "L (1.1,1.2) e => (1,1.2) e",
+                    "AND (1,1.2) (Er <>c & []f) => (1,1.2) Er <>c; (1,1.2) []f",
+                    "EXR (1,1.2) Er <>c => (1.3,1.2) <>c",
+                    "DIA (1.3,1.2) <>c => (1.3,1.2.4) c",
+                    "BOX (1,1.2) []!g => (1,1.2.4) !g",
+                    "BOX (1,1.2) []f => (1,1.2.4) f",
+                    "L (1.3,1.2.4) c => (1,1.2.4) c",
+                ),
+            ),
+        ],
+        ids=["through-two-children", "by-depth"],
+    )
+    def test_inherited_boxes_reach_diamond_premises(self, text, summary, trace):
+        res = sat(parse(text), SolverOptions(trace=True))
+        assert res.satisfiable
+        assert res.stats.summary() == summary
+        assert res.trace == trace
+
 
 class TestSat:
     def test_tautology(self):
