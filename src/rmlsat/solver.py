@@ -83,6 +83,7 @@ from .tableau import (
     _check_acceptance,
     _read_models,
     format_rule_line,
+    render_entry,
     render_prefix,
 )
 
@@ -230,9 +231,13 @@ class _Engine:
 
     # -- bookkeeping -----------------------------------------------------------
 
-    def _emit(self, rule, entry, conclusions):
+    def _emit(self, rule, entry, conclusions, sigma, csigma=None):
+        """Record a rule line for the (model prefix, formula) pairs entry,
+        at sigma, and conclusions, at csigma (default sigma)."""
         if self.trace is not None:
-            self._emit_line(format_rule_line(rule, entry, conclusions))
+            cs = sigma if csigma is None else csigma
+            self._emit_line(format_rule_line(
+                rule, (entry[0], sigma, entry[1]), [(mu, cs, f) for mu, f in conclusions]))
 
     def _emit_line(self, line):
         """Record a trace line; callers build lines only when tracing is on."""
@@ -280,7 +285,8 @@ class _Engine:
         or None (it has no more) is popped, and what it yielded is sent to
         its parent.  The rest of the root's search is dropped, so nothing
         ever truncates the P it returns or the log."""
-        stack = [self._activate({}, [], root_entries, 0, sigma, 1, self.point)]
+        adds = [(mu, f) for mu, _, f in root_entries]
+        stack = [self._activate({}, [], adds, 0, sigma, 1, self.point)]
         got = None
         while stack:
             got = stack[-1].send(got)
@@ -359,17 +365,17 @@ class _Engine:
             if a in P:
                 continue
             if true_atoms is None:
-                log.append(a)
-            elif type(a[2]) in _LITERALS and (a[2].name in true_atoms) != (type(a[2]) is Atom):
-                self._reject_literal(a)
+                log.append((a[0], sigma, a[1]))
+            elif type(a[1]) in _LITERALS and (a[1].name in true_atoms) != (type(a[1]) is Atom):
+                self._reject_literal((a[0], sigma, a[1]))
                 yield None
                 return
+            if not P and len(sigma) > st.max_state_prefix_len:
+                st.max_state_prefix_len = len(sigma)
             P[a] = len(order)
             order.append(a)
             if len(a[0]) > st.max_model_prefix_len:
                 st.max_model_prefix_len = len(a[0])
-            if len(a[1]) > st.max_state_prefix_len:
-                st.max_state_prefix_len = len(a[1])
         n = len(order)
         if n > st.max_p_size:
             st.max_p_size = n
@@ -392,16 +398,16 @@ class _Engine:
                     # the add block; n is len(order), which is len(P)
                     for a in adds:
                         if true_atoms is not None:
-                            f = a[2]
+                            f = a[1]
                             t = type(f)
                             if (t is Atom or t is NegAtom) and (f.name in true_atoms) != (t is Atom):
-                                self._reject_literal(a)
+                                self._reject_literal((a[0], sigma, f))
                                 break
                         if P.setdefault(a, n) == n:
                             order.append(a)
                             n += 1
                             if true_atoms is None:
-                                log.append(a)
+                                log.append((a[0], sigma, a[1]))
                     else:
                         adds = None
                         if n > st.max_p_size:
@@ -412,49 +418,46 @@ class _Engine:
                     break
                 e = order[cursor]
                 cursor += 1
-                f = e[2]
+                nu, f = e
                 t = type(f)
                 if t is Atom or t is NegAtom:
                     if clash is None:
                         # the cursor is already past e, which is not its own complement
                         c = complements.get((t, f.name)) or _complement(t, f.name)
-                        at = P.get((e[0], e[1], c))
+                        at = P.get((nu, c))
                         if at is not None and at < cursor:
-                            clash = (e[0], e[1], f.name)
+                            clash = (nu, sigma, f.name)
                     # at model prefix 1 a literal step adds nothing
-                    if len(e[0]) == 1 or cursor <= start:
+                    if len(nu) == 1 or cursor <= start:
                         continue
-                    nu, sg, _ = e
                     k = len(nu) - 1
                     while k:
-                        x = (nu[:k], sg, f)
+                        x = (nu[:k], f)
                         k -= 1
                         if x not in P:
                             adds = adds or []
                             adds.append(x)
                     if tracing and adds is not None:
-                        self._emit("L", e, adds)
+                        self._emit("L", e, adds, sigma)
                 elif t is And or t is Or:
                     if cursor <= start:
                         continue
-                    nu, sg, _ = e
                     if t is And:
-                        adds = ((nu, sg, f.left), (nu, sg, f.right))
+                        adds = ((nu, f.left), (nu, f.right))
                         if tracing:
-                            self._emit("AND", e, adds)
+                            self._emit("AND", e, adds, sigma)
                     else:
                         ors.append((e, cursor, clash, n, len(log), len(dias), len(boxes), len(ns)))
                         if deadline is not None:
                             self._check_time()
-                        adds = ((nu, sg, f.left),)
+                        adds = ((nu, f.left),)
                         if tracing:
-                            self._emit("OR", e, adds)
+                            self._emit("OR", e, adds, sigma)
                 elif t is Diamond:
                     if cursor > start:
                         dias.append(e)
                 elif t is Box:
-                    if e[1] == sigma:
-                        boxes.append(e)
+                    boxes.append(e)
                 elif t is ExistsR and cursor > start:
                     ns.append(e)
             # adds is not None when a literal of the last batch was rejected
@@ -482,26 +485,27 @@ class _Engine:
                             e = dias[k - nb]
                             nu = e[0]
                             rules = ("DIA", "BOX")
-                            premises = [e] + [b for b in boxes if nu[: len(b[0])] == b[0]]
+                            premises = [e] + [b for b in boxes if len(b[0]) <= len(nu)]
                             states = self._successor_states(state)
-                        concls = [(x[0], sigma_i, x[2].body) for x in premises]
-                        kids.append((iter(states), rules, premises, concls, len(order), len(log)))
+                        concls = [(x[0], x[1].body) for x in premises]
+                        kids.append((iter(states), rules, premises, concls, len(order), len(log),
+                                     sigma_i))
                     else:
                         e = ns[k - nd]
                         nu = e[0]
-                        new_entry = (nu + (self._fresh(),), sigma, e[2].body)
-                        self._emit("EXR", e, [new_entry])
+                        new_entry = (nu + (self._fresh(),), e[1].body)
+                        self._emit("EXR", e, [new_entry], sigma)
                         # the ancestor-prefix slice of P was admitted at this same
                         # state, so only the new entry needs the literal check
-                        child_order = [x for x in order if nu[: len(x[0])] == x[0]]
+                        child_order = [x for x in order if len(x[0]) <= len(nu)]
                         m = len(child_order)
                         childP = dict(zip(child_order, range(m)))
                         child = self._activate(childP, child_order, (new_entry,), m,
                                                sigma, depth + 1, state)
-                        kids.append((child, None, nu, child_order, len(order), m))
+                        kids.append((child, None, nu, child_order, len(order), m, None))
                     # move the innermost child to its next success
                     while kids:
-                        alts, rules, premises, concls, m, c = kids[-1]
+                        alts, rules, premises, concls, m, c, sigma_i = kids[-1]
                         for _ in range(len(order) - m):
                             P.popitem()
                         del order[m:]
@@ -513,8 +517,8 @@ class _Engine:
                                 del log[c:]
                                 if tracing:
                                     for i, x in enumerate(premises):
-                                        self._emit(rules[i > 0], x, [concls[i]])
-                                got = yield self._activate({}, [], concls, 0, concls[0][1],
+                                        self._emit(rules[i > 0], x, [concls[i]], sigma, sigma_i)
+                                got = yield self._activate({}, [], concls, 0, sigma_i,
                                                            depth + 1, state_i)
                                 if got is not None:
                                     break
@@ -525,7 +529,7 @@ class _Engine:
                             # concls is the child's order and c its start; its
                             # literals at ancestor prefixes of nu join P
                             for x in concls[c:]:
-                                if premises[: len(x[0])] == x[0] and type(x[2]) in _LITERALS:
+                                if len(x[0]) <= len(premises) and type(x[1]) in _LITERALS:
                                     P[x] = len(order)
                                     order.append(x)
                             if len(P) > st.max_p_size:
@@ -544,9 +548,9 @@ class _Engine:
             del dias[ld:], boxes[lb:], ns[ln:]
             if deadline is not None:
                 self._check_time()
-            adds = ((e[0], e[1], e[2].right),)
+            adds = ((e[0], e[1].right),)
             if tracing:
-                self._emit("OR", e, adds)
+                self._emit("OR", e, adds, sigma)
         yield None
 
 
@@ -577,9 +581,14 @@ def run_activation(state, opts=None):
     quantifier children merged in); raises ClashFailure when every
     choice sequence clashes.
     """
+    for e in state.entries:
+        if e[1] != state.sigma:
+            raise ValueError(
+                f"entry {render_entry(e)} is not at state prefix {render_prefix(state.sigma)}"
+            )
     engine = _Engine(opts)
     engine.counter = state.counter
-    final_P = engine.solve(list(state.entries), state.sigma)
+    final_P = engine.solve(state.entries, state.sigma)
     if final_P is None:
         raise ClashFailure(engine.last_clash or ((1,), (1,), "?"))
-    return tuple(final_P)
+    return tuple((mu, state.sigma, f) for mu, f in final_P)

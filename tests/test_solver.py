@@ -34,6 +34,17 @@ class TestRunActivation:
         st = SearchState(entries(([1], [1], "p")))
         assert set(run_activation(st)) == set(entries(([1], [1], "p")))
 
+    def test_entries_must_sit_at_the_state_prefix(self):
+        # an activation's entries share its state prefix, so its P keys
+        # them by (model prefix, formula)
+        st = SearchState(entries(([1], [1, 2], "p"), ([1, 3], [1, 2], "Er q")), sigma=(1, 2), counter=4)
+        assert set(run_activation(st)) == set(
+            entries(([1], [1, 2], "p"), ([1, 3], [1, 2], "Er q"), ([1, 3], [1, 2], "q"),
+                    ([1], [1, 2], "q"))
+        )
+        with pytest.raises(ValueError, match=r"\(1,1\) q is not at state prefix 1.2"):
+            run_activation(SearchState(entries(([1], [1, 2], "p"), ([1], [1], "q")), sigma=(1, 2)))
+
     def test_diamond_box_conflict_clashes_in_child(self):
         st = SearchState(entries(([1], [1], "<>p"), ([1], [1], "[]!p")))
         with pytest.raises(ClashFailure) as err:
