@@ -64,6 +64,7 @@ modelcheck docstring describes its point, valuation and hooks.
 
 import functools
 import time
+from itertools import islice
 
 from ._record import _Record
 from .errors import ResourceLimit
@@ -286,7 +287,7 @@ class _Engine:
         its parent.  The rest of the root's search is dropped, so nothing
         ever truncates the P it returns or the log."""
         adds = [(mu, f) for mu, _, f in root_entries]
-        stack = [self._activate({}, [], adds, 0, sigma, 1, self.point)]
+        stack = [self._activate({}, [], adds, None, sigma, 1, self.point)]
         got = None
         while stack:
             got = stack[-1].send(got)
@@ -297,7 +298,7 @@ class _Engine:
                 got = None
         return got
 
-    def _activate(self, P, order, adds, start, sigma, depth, state):
+    def _activate(self, P, order, adds, inherited, sigma, depth, state):
         """The activation that owns P and order, started by adding adds to
         them: a generator that yields each child activation it needs the
         next completion of (solve sends it back, or None when the child has
@@ -306,34 +307,46 @@ class _Engine:
         rather than returned because catching StopIteration from every
         exhausted activation costs more.  P, order and the log are undone
         in place on backtracking, so a consumer that keeps one must copy
-        it before resuming the activation.  state is the model
-        state sigma is pinned to (None in sat).  Only an activation with
-        start 0, one that introduced sigma, asks for BOX1 children: a
-        quantifier child's inherited slice holds at least its own Er entry.
+        it before resuming the activation.  state is the model state sigma
+        is pinned to (None in sat).
 
-        P maps each entry to its position in order, its triples in
-        insertion order.  The first start entries are the inherited slice,
-        whose and/or/literals the parent processed and whose diamonds and
-        quantifiers it gave children; each later entry sits at a fresh
-        model prefix or is a literal copy not in the slice.  One loop runs
-        the saturation cursor.  Every entry of order before the cursor has
-        been passed once on this branch: processed if it is an and/or/literal
-        entry past start, put into its bucket if it is a diamond past start
-        (dias), a box at sigma (boxes) or a quantifier past start (ns), and
-        checked against P for its complement if it is a literal.  clash is
-        the first literal whose complement sits at an earlier position, the
-        witness a scan of the final P in order would report.  And and
-        literal steps extend P in place, so at a saturated leaf every
-        and/or/literal of P is processed.
+        Every entry of an activation sits at sigma, so P maps each
+        (model prefix, formula) pair to its position in order, the pairs
+        the activation added, in insertion order; the log holds triples.
+        inherited is None for the root, BOX1 and diamond children, which
+        introduce sigma and alone ask for BOX1 children.  A quantifier
+        child gets (up, m, boxes, clash) from its parent: its view of the
+        entries it inherits, how many there are, the boxes among them in
+        order and the first clash among them.  It reads those entries in
+        place, in the P of the suspended parent, which truncates P back to
+        its length at push before it resumes the child, and in the parents
+        above it; up is (len(nu), the parent's P and order, the parent's
+        up), nu the child's Er entry's model prefix.  All model prefixes an
+        activation sees lie on one chain, so an entry of the parent is
+        inherited exactly when its model prefix is no longer than nu.  The
+        inherited entries were saturated by their owners, so a literal
+        copy found among them has all its shorter copies there too.
 
-        New triples enter P through two add blocks written out in place,
-        with no call per triple: the start adds, where fresh prefixes enter
-        and so the only place prefix lengths are counted, and one in the
-        loop for each and/or/literal step and an or's right alternative.
-        With state pinned (check) a new literal false at state rejects its
-        batch after the triples before it went in, and max_p stays; in sat
-        each new triple is logged.  P's keys keep order's order, so undoing
-        pops P's last items and hashes nothing.
+        One loop runs the saturation cursor over order.  Every entry of
+        order before the cursor has been passed once on this branch:
+        processed if it is an and/or/literal, put into its bucket if it is
+        a diamond (dias), a box (boxes, after the inherited ones) or a
+        quantifier (ns), and checked for its complement if it is a
+        literal.  clash is the first literal, inherited ones first, whose
+        complement sits at an earlier position, the witness a scan of the
+        visible entries in order would report.  And and literal steps
+        extend P in place, so at a saturated leaf every and/or/literal of P
+        is processed.
+
+        New pairs enter P through two add blocks written out in place, with
+        no call per pair: the start adds, where fresh prefixes enter and so
+        the only place prefix lengths are counted, and one in the loop for
+        each and/or/literal step and an or's right alternative.  With state
+        pinned (check) a new literal false at state rejects its batch after
+        the pairs before it went in, and max_p stays; in sat each new pair
+        is logged as a triple.  max_p counts inherited and own entries.
+        P's keys keep order's order, so undoing pops P's last items and
+        hashes nothing.
 
         An or is a choice point on the stack ors: the or entry, the cursor
         and clash witness just past it, and the lengths of order, the log
@@ -344,23 +357,33 @@ class _Engine:
 
         A leaf with no children rejects on its clash witness right away.
         Otherwise each child is a choice point on the stack kids:
-        (alternatives, rules, premises, conclusions, len(order), len(log)).
-        Each alternative starts from P and order truncated back to their
-        lengths at push.  A BOX1 or diamond child draws its fresh successor
-        prefix when pushed; each alternative (target state) also cuts the
-        log back and asks a fresh activation for its first success only.
-        A quantifier child draws its fresh model prefix and creates its
-        activation when pushed; rules is None, premises is its model prefix
-        nu, conclusions its order and the last slot its start, and each
+        (alternatives, rules, premises, conclusions, len(order), len(log),
+        the child's sigma).  Each alternative starts from P and order
+        truncated back to their lengths at push.  A BOX1 or diamond child
+        draws its fresh successor prefix when pushed; each alternative
+        (target state) also cuts the log back and asks a fresh activation
+        for its first success only.  A quantifier child draws its fresh
+        model prefix and creates its activation when pushed; rules is None,
+        premises is its model prefix nu and conclusions its order, and each
         alternative is that activation's next completion, whose own
-        literals at ancestor prefixes of nu are merged into P.  A prefix
-        test a[:len(b)] == b holds exactly when is_prefix_of(b, a).  Its
-        choice point keeps no log length and does not cut the log: the
-        suspended child cuts it through its own choice points, which all
-        lie above the length at push."""
+        literals at prefixes no longer than nu are merged into P.  Its
+        choice point does not cut the log: the suspended child cuts it
+        through its own choice points, which all lie above the length at
+        push.
+
+        Inherited entries at prefixes no longer than nu give the child its
+        boxes (the leaf's boxes filtered by that length, in bucket order),
+        its clash (the leaf's, unless that one sits deeper than nu: then,
+        only on a leaf that rejects anyway, the first clash among them
+        found by _first_clash) and its m, for max_p.  An activation whose
+        start adds are no deeper than nu passes on all it sees; otherwise
+        (a diamond child's Er at a shorter prefix than its diamond) counts
+        per prefix length dc, kept for order[:counted] and cut back on
+        undo, give m in O(depth)."""
         st = self.stats
         true_atoms = None if state is None else self.valuation[state]
         log = self.log
+        top = 0
         for a in adds:
             if a in P:
                 continue
@@ -374,11 +397,17 @@ class _Engine:
                 st.max_state_prefix_len = len(sigma)
             P[a] = len(order)
             order.append(a)
-            if len(a[0]) > st.max_model_prefix_len:
-                st.max_model_prefix_len = len(a[0])
+            if len(a[0]) > top:
+                top = len(a[0])
+                if top > st.max_model_prefix_len:
+                    st.max_model_prefix_len = top
+        if inherited is None:
+            up, base, boxes, clash = None, 0, [], None
+        else:
+            up, base, boxes, clash = inherited
         n = len(order)
-        if n > st.max_p_size:
-            st.max_p_size = n
+        if base + n > st.max_p_size:
+            st.max_p_size = base + n
         st.activations += 1
         if st.activations > self.opts.node_budget:
             raise ResourceLimit(f"activation budget exhausted ({self.opts.node_budget})")
@@ -388,8 +417,9 @@ class _Engine:
         tracing = self.trace is not None
         deadline = self.deadline
         complements = _COMPLEMENTS
-        dias, boxes, ns = [], [], []
-        cursor, clash = 0, None
+        dias, ns = [], []
+        dc, counted = None, 0
+        cursor = 0
         ors = []
         adds = None
         while True:
@@ -410,8 +440,8 @@ class _Engine:
                                 log.append((a[0], sigma, a[1]))
                     else:
                         adds = None
-                        if n > st.max_p_size:
-                            st.max_p_size = n
+                        if base + n > st.max_p_size:
+                            st.max_p_size = base + n
                     if adds is not None:
                         break
                 if cursor == n:
@@ -423,48 +453,46 @@ class _Engine:
                 if t is Atom or t is NegAtom:
                     if clash is None:
                         # the cursor is already past e, which is not its own complement
-                        c = complements.get((t, f.name)) or _complement(t, f.name)
-                        at = P.get((nu, c))
-                        if at is not None and at < cursor:
+                        x = (nu, complements.get((t, f.name)) or _complement(t, f.name))
+                        at = P.get(x)
+                        if (cursor > at) if at is not None else up is not None and _sees(up, x):
                             clash = (nu, sigma, f.name)
                     # at model prefix 1 a literal step adds nothing
-                    if len(nu) == 1 or cursor <= start:
+                    if len(nu) == 1:
                         continue
                     k = len(nu) - 1
                     while k:
                         x = (nu[:k], f)
                         k -= 1
                         if x not in P:
+                            if up is not None and _sees(up, x):
+                                break
                             adds = adds or []
                             adds.append(x)
                     if tracing and adds is not None:
                         self._emit("L", e, adds, sigma)
-                elif t is And or t is Or:
-                    if cursor <= start:
-                        continue
-                    if t is And:
-                        adds = ((nu, f.left), (nu, f.right))
-                        if tracing:
-                            self._emit("AND", e, adds, sigma)
-                    else:
-                        ors.append((e, cursor, clash, n, len(log), len(dias), len(boxes), len(ns)))
-                        if deadline is not None:
-                            self._check_time()
-                        adds = ((nu, f.left),)
-                        if tracing:
-                            self._emit("OR", e, adds, sigma)
+                elif t is And:
+                    adds = ((nu, f.left), (nu, f.right))
+                    if tracing:
+                        self._emit("AND", e, adds, sigma)
+                elif t is Or:
+                    ors.append((e, cursor, clash, n, len(log), len(dias), len(boxes), len(ns)))
+                    if deadline is not None:
+                        self._check_time()
+                    adds = ((nu, f.left),)
+                    if tracing:
+                        self._emit("OR", e, adds, sigma)
                 elif t is Diamond:
-                    if cursor > start:
-                        dias.append(e)
+                    dias.append(e)
                 elif t is Box:
                     boxes.append(e)
-                elif t is ExistsR and cursor > start:
+                elif t is ExistsR:
                     ns.append(e)
             # adds is not None when a literal of the last batch was rejected
             if adds is None and clash is not None and not (dias or boxes or ns):
                 self._reject_clash(clash)
             elif adds is None:
-                boxes1, targets = self._box1_targets(boxes, state) if start == 0 else ((), ())
+                boxes1, targets = self._box1_targets(boxes, state) if up is None else ((), ())
                 nb = len(targets)
                 nd = nb + len(dias)
                 nk = nd + len(ns)
@@ -493,22 +521,39 @@ class _Engine:
                     else:
                         e = ns[k - nd]
                         nu = e[0]
+                        lim = len(nu)
                         new_entry = (nu + (self._fresh(),), e[1].body)
                         self._emit("EXR", e, [new_entry], sigma)
-                        # the ancestor-prefix slice of P was admitted at this same
-                        # state, so only the new entry needs the literal check
-                        child_order = [x for x in order if len(x[0]) <= len(nu)]
-                        m = len(child_order)
-                        childP = dict(zip(child_order, range(m)))
-                        child = self._activate(childP, child_order, (new_entry,), m,
+                        if lim >= top:
+                            m = base + n
+                            child_boxes = boxes[:]
+                        else:
+                            if dc is None:
+                                dc = [0] * (top + 1)
+                            for x in islice(order, counted, n):
+                                dc[len(x[0])] += 1
+                            counted = n
+                            m = sum(dc[: lim + 1])
+                            child_boxes = [b for b in boxes if len(b[0]) <= lim]
+                        child_clash = clash
+                        if clash is not None and len(clash[0]) > lim:
+                            child_clash = _first_clash(P, order, up, lim, sigma)
+                        child_order = []
+                        child = self._activate({}, child_order, (new_entry,),
+                                               ((lim, P, order, up), m, child_boxes, child_clash),
                                                sigma, depth + 1, state)
-                        kids.append((child, None, nu, child_order, len(order), m, None))
+                        kids.append((child, None, nu, child_order, n, None, None))
                     # move the innermost child to its next success
                     while kids:
                         alts, rules, premises, concls, m, c, sigma_i = kids[-1]
+                        if counted > m:
+                            for x in islice(order, m, counted):
+                                dc[len(x[0])] -= 1
+                            counted = m
                         for _ in range(len(order) - m):
                             P.popitem()
                         del order[m:]
+                        n = m
                         if rules is None:
                             got = yield alts
                         else:
@@ -518,7 +563,7 @@ class _Engine:
                                 if tracing:
                                     for i, x in enumerate(premises):
                                         self._emit(rules[i > 0], x, [concls[i]], sigma, sigma_i)
-                                got = yield self._activate({}, [], concls, 0, sigma_i,
+                                got = yield self._activate({}, [], concls, None, sigma_i,
                                                            depth + 1, state_i)
                                 if got is not None:
                                     break
@@ -526,14 +571,17 @@ class _Engine:
                             kids.pop()
                             continue
                         if rules is None:
-                            # concls is the child's order and c its start; its
-                            # literals at ancestor prefixes of nu join P
-                            for x in concls[c:]:
-                                if len(x[0]) <= len(premises) and type(x[1]) in _LITERALS:
-                                    P[x] = len(order)
+                            # concls is the child's order; its literals at
+                            # prefixes no longer than nu join P (its own
+                            # entries there are all literal copies)
+                            lim = len(premises)
+                            for x in concls:
+                                if len(x[0]) <= lim:
+                                    P[x] = n
                                     order.append(x)
-                            if len(P) > st.max_p_size:
-                                st.max_p_size = len(P)
+                                    n += 1
+                            if base + n > st.max_p_size:
+                                st.max_p_size = base + n
                         break
                     else:
                         break
@@ -541,6 +589,10 @@ class _Engine:
             if not ors:
                 break
             e, cursor, clash, n, lg, ld, lb, ln = ors.pop()
+            if counted > n:
+                for x in islice(order, n, counted):
+                    dc[len(x[0])] -= 1
+                counted = n
             for _ in range(len(order) - n):
                 P.popitem()
             del order[n:]
@@ -552,6 +604,33 @@ class _Engine:
             if tracing:
                 self._emit("OR", e, adds, sigma)
         yield None
+
+
+def _sees(up, x):
+    """Whether the pair x is among the entries a quantifier child inherits
+    through up, read in its parents' P: the walk stops at the first parent
+    whose child's nu is shorter than x's model prefix."""
+    k = len(x[0])
+    while up is not None and k <= up[0]:
+        if x in up[1]:
+            return True
+        up = up[3]
+    return False
+
+
+def _first_clash(P, order, up, lim, sigma):
+    """The first literal of order at a model prefix no longer than lim
+    whose complement sits at an earlier position or is inherited through
+    up: the first clash among the entries a quantifier child at that
+    depth inherits, when those up passes on hold none."""
+    for i, (mu, f) in enumerate(order):
+        t = type(f)
+        if (t is Atom or t is NegAtom) and len(mu) <= lim:
+            x = (mu, _COMPLEMENTS.get((t, f.name)) or _complement(t, f.name))
+            at = P.get(x)
+            if (i > at) if at is not None else up is not None and _sees(up, x):
+                return (mu, sigma, f.name)
+    return None
 
 
 def sat(f, opts=None):

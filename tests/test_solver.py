@@ -3,6 +3,7 @@ import itertools
 import random
 import signal
 import time
+import tracemalloc
 
 import pytest
 
@@ -517,6 +518,22 @@ class TestWideInputs:
         assert res.satisfiable
         assert res.stats.activations == 1001 and res.stats.max_depth == 2
         assert not sat(parse(quantifier_conjunction(1000) + " & !x_7")).satisfiable
+
+    def test_wide_quantifier_conjunction_memory(self):
+        # a quantifier child reads the entries it inherits in its parent's
+        # P instead of copying them, so doubling the conjuncts about
+        # doubles the peak (a copy per child made it 4.3x)
+        def peak(n):
+            f = parse(" & ".join([f"Er <>x_{i}" for i in range(n)] + ["[]q"]))
+            tracemalloc.start()
+            try:
+                assert sat(f).satisfiable
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(200), peak(400)
+        assert large <= 2.3 * small, (small, large)
 
     @pytest.mark.parametrize("text", ["[]p", "[]p & <>p"])
     def test_wide_box_fan_out_check(self, text):
