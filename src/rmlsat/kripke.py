@@ -85,6 +85,18 @@ class KripkeModel:
         }
         self._nodes = None
 
+    @classmethod
+    def _of_parts(cls, states, succ, valuation):
+        """The model whose slots are the given parts, unchecked: states a
+        sorted tuple, succ and valuation keyed by it in that order, with
+        sorted successor tuples and frozensets, as __init__ leaves them."""
+        m = object.__new__(cls)
+        m.states = states
+        m._succ = succ
+        m.valuation = valuation
+        m._nodes = None
+        return m
+
     @property
     def transitions(self):
         """The (from, to) pairs, as a frozenset."""
@@ -401,10 +413,24 @@ def pointed_from_dict(d):
 
 
 def model_to_dict(m, point=None):
+    return _model_dict(m, point, {})
+
+
+def _model_dict(m, point, atom_lists):
+    """model_to_dict, taking each valuation's sorted list from atom_lists
+    (frozenset -> list), which it fills: models that share it share one
+    list per distinct valuation."""
+    valuation = {}
+    for s in m.states:
+        v = m.valuation[s]
+        atoms = atom_lists.get(v)
+        if atoms is None:
+            atoms = atom_lists[v] = sorted(v)
+        valuation[s] = atoms
     d = {
         "states": list(m.states),
         "transitions": [[s, t] for s in m.states for t in m._succ[s]],
-        "valuation": {s: sorted(m.valuation[s]) for s in m.states},
+        "valuation": valuation,
     }
     if point is not None:
         d["point"] = point

@@ -47,7 +47,7 @@ so the witness JSON grows with depth times states.
 
 from ._record import _Frozen, _Record
 from .formula import And, Atom, Box, Diamond, ExistsR, NegAtom, Or, is_literal, render
-from .kripke import KripkeModel, RefinementRelation, model_from_dict, model_to_dict
+from .kripke import KripkeModel, RefinementRelation, _model_dict, model_from_dict
 
 __all__ = [
     "Branch",
@@ -350,9 +350,12 @@ class ModelChain(_Record):
         return out
 
     def to_dict(self, formula_text=None):
+        """The witness JSON object; the models share one sorted atom list
+        per distinct valuation."""
+        atom_lists = {}
         d = {
             "models": [
-                {"prefix": render_prefix(cm.prefix), **model_to_dict(cm.model, cm.point)}
+                {"prefix": render_prefix(cm.prefix), **_model_dict(cm.model, cm.point, atom_lists)}
                 for cm in self.chain
             ]
         }
@@ -398,9 +401,13 @@ def _read_models(branch):
 
     One pass over the entries gives each distinct state prefix an id and
     collects each model prefix's own state ids, the atoms at model
-    prefix 1 and each model's point.  The rest costs what the chain
-    written costs.  States are keyed by whole prefixes: 1.2 and 1.3.2
-    share a last index but are different states.
+    prefix 1 and each model's point.  The state names are then sorted
+    once, and the ids renumbered in that order, so that each model sorts
+    its states as integers and meets each state's successors in name
+    order.  The rest costs what the chain written costs: the models are
+    built from those parts without the checks of KripkeModel(...).
+    States are keyed by whole prefixes: 1.2 and 1.3.2 share a last index
+    but are different states.
     """
     exr = branch._exr_children()
     ids = {}  # state prefix -> id, in first-occurrence order
@@ -433,10 +440,22 @@ def _read_models(branch):
         p = parent[i] = ids.get(sigma[:-1])
         names[i] = render_prefix(sigma) if p is None else f"{names[p]}.{sigma[-1]}"
 
+    # Renumber by name: rank r names the r-th state in name order.
+    by_name = sorted(range(len(prefixes)), key=names.__getitem__)
+    rank = [0] * len(prefixes)
+    for r, i in enumerate(by_name):
+        rank[i] = r
+    names = [names[i] for i in by_name]
+    parent = [None if parent[i] is None else rank[parent[i]] for i in by_name]
+    empty = frozenset()
+    atoms = [empty] * len(prefixes)
+    for i, a in atoms_at.items():
+        atoms[rank[i]] = frozenset(a)
+
     # Each model's states, bottom-up: its own entries' states and those of
     # its child models.  A model prefix with no entries of its own (only on
     # a hand-built branch) still passes its children's states upward.
-    states = dict(own)
+    states = {mu: {rank[i] for i in ss} for mu, ss in own.items()}
     for mu in own:
         up = mu[:-1]
         while up and up not in states:
@@ -447,18 +466,21 @@ def _read_models(branch):
             states[mu[:-1]] |= states[mu]
 
     # The transitions of a model join each of its states to each of its
-    # states one index longer: (parent(i), i) with both in the set.
+    # states one index longer: (parent(r), r) with both in the set.  Taken
+    # in rank order, each state's successors come sorted by name.
     chain = []
     for mu in sorted(own):
-        ss = states[mu]
-        transitions = [(names[parent[i]], names[i]) for i in ss if parent[i] in ss]
-        valuation = {names[i]: atoms_at[i] for i in ss if i in atoms_at}
-        anchor = anchors.get(mu) or min(prefixes[i] for i in ss)
-        chain.append(
-            ChainModel(
-                mu,
-                KripkeModel([names[i] for i in ss], transitions, valuation),
-                render_prefix(anchor),
-            )
+        ranks = sorted(states[mu])
+        succ = {r: [] for r in ranks}
+        for r in ranks:
+            kids = succ.get(parent[r])
+            if kids is not None:
+                kids.append(names[r])
+        model = KripkeModel._of_parts(
+            tuple(names[r] for r in ranks),
+            {names[r]: tuple(succ[r]) for r in ranks},
+            {names[r]: atoms[r] for r in ranks},
         )
+        anchor = anchors.get(mu) or min(prefixes[by_name[r]] for r in ranks)
+        chain.append(ChainModel(mu, model, render_prefix(anchor)))
     return ModelChain(chain)

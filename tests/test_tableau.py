@@ -2,7 +2,7 @@ import pytest
 
 from rmlsat import gen
 from rmlsat.formula import parse
-from rmlsat.kripke import KripkeModel, verify_refinement_mapping
+from rmlsat.kripke import KripkeModel, model_to_dict, verify_refinement_mapping
 from rmlsat.solver import SolverOptions, sat
 from rmlsat.tableau import (
     Branch,
@@ -210,6 +210,33 @@ class TestExtraction:
             a.model == b.model and a.point == b.point
             for a, b in zip(back, res.models)
         )
+
+    @pytest.mark.parametrize("text", [
+        " & ".join([f"Er <>(x{i} & <>y)" for i in range(12)] + ["[]q", "<>Er <>z"]),
+        "Er <>" * 12 + "p",
+        "<>(p & <>q & <>(q & Er <>!p)) & " + " & ".join(f"<>x{i}" for i in range(11)),
+    ])
+    def test_read_models_match_validated_models(self, text):
+        # the reader builds models without KripkeModel's checks; they must
+        # be the models that checking constructor makes, slot for slot,
+        # with states past "1.10" sorting as strings, and the witness
+        # object must be the one model_to_dict gives model by model
+        chain = sat(parse(text)).models
+        for cm in chain:
+            m = cm.model
+            checked = KripkeModel(m.states, m.transitions, m.valuation)
+            assert m.states == checked.states
+            assert list(m._succ.items()) == list(checked._succ.items())
+            assert list(m.valuation.items()) == list(checked.valuation.items())
+            assert m == checked and hash(m) == hash(checked)
+        d = chain.to_dict(formula_text=text)
+        assert d == {
+            "models": [
+                {"prefix": render_prefix(cm.prefix), **model_to_dict(cm.model, cm.point)}
+                for cm in chain
+            ],
+            "formula": text,
+        }
 
 
 def scan_box_witnesses(b, mu, sigma):
