@@ -10,10 +10,12 @@ model (M2, s2) refines (M, s) when some refinement mapping contains
 which is what the unravel/restriction machinery below exploits.
 
 A KripkeModel keeps its edges once, as one sorted successor tuple per
-state, checked against the state set as it is built; its transitions
-are a view of that adjacency, and its equality and hash read it and the
-valuation.  A PointedModel is an immutable pair of a model and a state
-of it; it compares and hashes as the tuple (model, point).
+state, checked against the state set as it is built (the witness reader,
+whose parts are consistent by construction, skips the checks); its
+transitions are a view of that adjacency, and its equality and hash
+read it and the valuation.  A PointedModel is an immutable pair of a
+model and a state of it; it compares and hashes as the tuple (model,
+point).
 
 Model file format (JSON): an object with "states" (list of strings),
 "transitions" (list of [from, to] pairs), "valuation" (state -> list of

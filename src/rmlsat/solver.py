@@ -3,38 +3,42 @@
 The solver explores tableau branches depth-first, one activation per
 state prefix and per quantifier child.  Every activation is a generator,
 and one loop runs them all from one list used as a stack (the current
-path of activations), so nesting costs no Python stack.  One
-activation owns one P, which maps each triple to its position in the
-activation's insertion order, and keeps one branch at a time: every
-choice point remembers how far P, its buckets and the run's log reach
-and truncates them back before the next alternative (an undo trail),
-so neither P nor the log is ever copied.  Given P, the current
-prefixes and start, how many entries at the front of P it inherited
-processed (0 except in a quantifier child), an activation:
+path of activations), so nesting costs no Python stack.  All entries of
+one activation sit at its state prefix sigma, so it keys them by
+(model prefix, formula); only the run's log holds triples.  One
+activation owns one P, which maps each of its own entries to its
+position in the activation's insertion order, and keeps one branch at
+a time: every choice point remembers how far P, its buckets and the
+run's log reach and truncates them back before the next alternative
+(an undo trail), so neither P nor the log is ever copied.  A quantifier
+child also sees the entries it inherits, which it reads in place in the
+P of its suspended parents (see _Engine._activate).  An activation:
 
 1. saturates P under the and/or/literal rules with a cursor worklist:
-   the cursor passes each entry once per branch, runs and steps and
-   literal steps (which copy the literal to every ancestor model prefix)
-   in place, fills the buckets of diamonds, boxes and quantifiers, and
-   records the first literal whose complement sits at an earlier
-   position (the clash witness), but of an inherited entry it only
-   buckets a box and checks a literal; each or is a chronological backtrack
-   point and the place the time budget is checked.  The or choice
-   points sit on an explicit stack inside one saturation loop, so a
-   wide conjunction of disjunctions costs no stack depth.  A leaf with
-   no diamond, no box at sigma and no quantifier has no children: it
-   goes straight to step 3, and one with a clash witness rejects right
-   there;
+   the cursor passes each of its own entries once per branch, runs and
+   steps and literal steps (which copy the literal to every ancestor
+   model prefix not yet seen) in place, fills the buckets of diamonds,
+   boxes and quantifiers, and records the first literal whose
+   complement sits at an earlier position (the clash witness); each or
+   is a chronological backtrack point and the place the time budget is
+   checked.  The or choice points sit on an explicit stack inside one
+   saturation loop, so a wide conjunction of disjunctions costs no
+   stack depth.  A leaf with no diamond, no box and no quantifier has
+   no children: it goes straight to step 3, and one with a clash
+   witness rejects right there;
 2. gives the leaf its children, each a choice point on one explicit
    stack, tried depth-first over every combination of child successes:
    the model checker's BOX1 children (see modelcheck), then for each
-   unprocessed diamond at model prefix nu a child problem at a fresh
-   successor prefix holding the diamond body plus every box body
-   recorded at an ancestor prefix of nu, with start 0 (only its first
+   diamond at model prefix nu a child problem at a fresh successor
+   prefix holding the diamond body plus every box body recorded at an
+   ancestor prefix of nu, which inherits nothing (only its first
    success is taken; its alternatives are its target states), then for
-   each unprocessed refinement quantifier a child activation at a fresh
-   model prefix that inherits a copy of the ancestor-prefix slice of P
-   (its alternatives are its accepted completions).  The literals at
+   each refinement quantifier at nu a child activation at a fresh
+   model prefix below nu (its alternatives are its accepted
+   completions).  That child copies nothing: it inherits the entries at
+   prefixes no longer than nu, which it looks up in its parents' P, the
+   boxes among them and their first clash, which is the leaf's own
+   witness unless that one sits deeper than nu.  The literals at
    ancestor prefixes among a completion's own entries are appended to
    P, where later quantifier children see them (this is how clashes
    discovered in different subtrees meet), and removed when its choice
@@ -47,15 +51,17 @@ processed (0 except in a quantifier child), an activation:
    input costs stack depth;
 3. once every child has succeeded, rejects if saturation recorded a
    clash witness, else returns P.  Merged literals need no check of
-   their own: the complement of one would already have been in the
-   child's slice, so the child would have rejected.
+   their own: the complement of one would already have been visible to
+   the child, so the child would have rejected.
+
+So k conjoined quantifiers cost O(k + |P|), not a copy of P each.
 
 Fresh indices come from one counter per run, never reset while
 backtracking, so every prefix produced during a run is unique.  In sat
-each triple new to P is also appended to the run's one log, which the
-choice points cut back; at the root's accepted completion it holds the
-path's triples in order, a branch that sat() checks is complete and
-clash-free.
+each entry new to P is also appended to the run's one log as a triple,
+which the choice points cut back; at the root's accepted completion it
+holds the path's triples in order, a branch that sat() checks is
+complete and clash-free.
 
 Each activation is passed the one model state its state prefix is
 pinned to (None in sat).  The model checker subclasses the engine; the
@@ -276,8 +282,9 @@ class _Engine:
 
     def solve(self, root_entries, sigma):
         """First accepted completion, the final P, or None; on a completion
-        self.log holds the triples produced along its path.  Every entry
-        carries its own model prefix, so only the state prefix is passed.
+        self.log holds the triples produced along its path.  The root
+        entries are triples at the state prefix sigma; P keys them by
+        (model prefix, formula).
 
         Every activation is a generator, and one list used as a stack runs
         them all, the innermost last.  An activation that yields a
@@ -315,17 +322,19 @@ class _Engine:
         the activation added, in insertion order; the log holds triples.
         inherited is None for the root, BOX1 and diamond children, which
         introduce sigma and alone ask for BOX1 children.  A quantifier
-        child gets (up, m, boxes, clash) from its parent: its view of the
-        entries it inherits, how many there are, the boxes among them in
-        order and the first clash among them.  It reads those entries in
-        place, in the P of the suspended parent, which truncates P back to
-        its length at push before it resumes the child, and in the parents
-        above it; up is (len(nu), the parent's P and order, the parent's
-        up), nu the child's Er entry's model prefix.  All model prefixes an
-        activation sees lie on one chain, so an entry of the parent is
-        inherited exactly when its model prefix is no longer than nu.  The
-        inherited entries were saturated by their owners, so a literal
-        copy found among them has all its shorter copies there too.
+        child, made for an Er entry at model prefix nu, inherits the
+        entries its parent sees at prefixes no longer than nu: all model
+        prefixes an activation sees lie on one chain, so those are exactly
+        the ones at ancestor prefixes of nu.  Its parent passes
+        (up, base, boxes, clash): up is (len(nu), the parent's P, the
+        parent's up), through which _sees finds an inherited entry in
+        place, since the suspended parent truncates P back to its length
+        at push before it resumes the child; base is how many entries it
+        inherits, for max_p; boxes the inherited boxes in bucket order,
+        to which its own are appended; clash the first clash among them.
+        The inherited entries were saturated by their owners, so a
+        literal copy found among them has all its shorter copies there
+        too, and the literal step stops there.
 
         One loop runs the saturation cursor over order.  Every entry of
         order before the cursor has been passed once on this branch:
@@ -371,15 +380,15 @@ class _Engine:
         through its own choice points, which all lie above the length at
         push.
 
-        Inherited entries at prefixes no longer than nu give the child its
-        boxes (the leaf's boxes filtered by that length, in bucket order),
-        its clash (the leaf's, unless that one sits deeper than nu: then,
-        only on a leaf that rejects anyway, the first clash among them
-        found by _first_clash) and its m, for max_p.  An activation whose
-        start adds are no deeper than nu passes on all it sees; otherwise
-        (a diamond child's Er at a shorter prefix than its diamond) counts
-        per prefix length dc, kept for order[:counted] and cut back on
-        undo, give m in O(depth)."""
+        The leaf gives a quantifier child its boxes filtered by len(nu)
+        and its own clash witness, unless that one sits deeper than nu:
+        then _first_clash finds the first clash the child inherits, which
+        happens only on a leaf that rejects anyway.  A leaf whose start
+        adds are no deeper than nu, the deepest it holds, passes on all
+        it sees.  Otherwise (a diamond child's Er at a shorter prefix
+        than its diamond) base comes from dc, the count of order[:counted]
+        per prefix length, brought up to date at the push and cut back
+        on undo, in O(depth) per child."""
         st = self.stats
         true_atoms = None if state is None else self.valuation[state]
         log = self.log
@@ -525,7 +534,7 @@ class _Engine:
                         new_entry = (nu + (self._fresh(),), e[1].body)
                         self._emit("EXR", e, [new_entry], sigma)
                         if lim >= top:
-                            m = base + n
+                            child_base = base + n
                             child_boxes = boxes[:]
                         else:
                             if dc is None:
@@ -533,14 +542,14 @@ class _Engine:
                             for x in islice(order, counted, n):
                                 dc[len(x[0])] += 1
                             counted = n
-                            m = sum(dc[: lim + 1])
+                            child_base = sum(dc[: lim + 1])
                             child_boxes = [b for b in boxes if len(b[0]) <= lim]
                         child_clash = clash
                         if clash is not None and len(clash[0]) > lim:
                             child_clash = _first_clash(P, order, up, lim, sigma)
                         child_order = []
                         child = self._activate({}, child_order, (new_entry,),
-                                               ((lim, P, order, up), m, child_boxes, child_clash),
+                                               ((lim, P, up), child_base, child_boxes, child_clash),
                                                sigma, depth + 1, state)
                         kids.append((child, None, nu, child_order, n, None, None))
                     # move the innermost child to its next success
@@ -614,7 +623,7 @@ def _sees(up, x):
     while up is not None and k <= up[0]:
         if x in up[1]:
             return True
-        up = up[3]
+        up = up[2]
     return False
 
 
@@ -658,7 +667,8 @@ def run_activation(state, opts=None):
 
     Returns the final P as a tuple of triples (literal results from
     quantifier children merged in); raises ClashFailure when every
-    choice sequence clashes.
+    choice sequence clashes, and ValueError when an entry is not at
+    state.sigma.
     """
     for e in state.entries:
         if e[1] != state.sigma:

@@ -38,9 +38,11 @@ conditions of dia, exr and box and the completeness check look entries
 up there instead of scanning the branch.
 
 Model reading makes one pass over the entries, giving each distinct
-state prefix a small id, and then does work proportional to the chain
-it returns: its cost is linear in the entries plus the size of that
-chain.  The chain itself can outgrow the branch: a model holds the
+state prefix a small id, sorts the state names once and then does work
+proportional to the chain it returns: its cost is linear in the entries
+plus the size of that chain, and a sort of each model's state ids.  It
+builds each model from parts already in KripkeModel's form, without
+its checks.  The chain itself can outgrow the branch: a model holds the
 states of all its refinements, and a state's name is its full prefix,
 so the witness JSON grows with depth times states.
 """
@@ -446,6 +448,7 @@ def _read_models(branch):
     for r, i in enumerate(by_name):
         rank[i] = r
     names = [names[i] for i in by_name]
+    prefixes = [prefixes[i] for i in by_name]
     parent = [None if parent[i] is None else rank[parent[i]] for i in by_name]
     empty = frozenset()
     atoms = [empty] * len(prefixes)
@@ -481,6 +484,6 @@ def _read_models(branch):
             {names[r]: tuple(succ[r]) for r in ranks},
             {names[r]: atoms[r] for r in ranks},
         )
-        anchor = anchors.get(mu) or min(prefixes[by_name[r]] for r in ranks)
+        anchor = anchors.get(mu) or min(prefixes[r] for r in ranks)
         chain.append(ChainModel(mu, model, render_prefix(anchor)))
     return ModelChain(chain)

@@ -525,12 +525,17 @@ class TestWideInputs:
         # doubles the peak (a copy per child made it 4.3x)
         def peak(n):
             f = parse(" & ".join([f"Er <>x_{i}" for i in range(n)] + ["[]q"]))
+            # small tuples come from per-size free lists, which tracemalloc
+            # does not see and earlier tests fill; held empty, they let
+            # both runs allocate every tuple they make
+            held = [tuple(range(k)) for k in range(1, 21) for _ in range(2000)]
             tracemalloc.start()
             try:
                 assert sat(f).satisfiable
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+                del held
 
         small, large = peak(200), peak(400)
         assert large <= 2.3 * small, (small, large)
