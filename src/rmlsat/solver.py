@@ -322,19 +322,24 @@ class _Engine:
         the activation added, in insertion order; the log holds triples.
         inherited is None for the root, BOX1 and diamond children, which
         introduce sigma and alone ask for BOX1 children.  A quantifier
-        child, made for an Er entry at model prefix nu, inherits the
-        entries its parent sees at prefixes no longer than nu: all model
-        prefixes an activation sees lie on one chain, so those are exactly
-        the ones at ancestor prefixes of nu.  Its parent passes
+        child for an Er entry at model prefix nu inherits what its parent
+        sees at prefixes no longer than nu (all model prefixes an
+        activation sees lie on one chain, so those are nu's ancestors) and
+        reads it in place: the suspended parent truncates P back to its
+        length at push before it resumes the child.  inherited is then
         (up, base, boxes, clash): up is (len(nu), the parent's P, the
-        parent's up), through which _sees finds an inherited entry in
-        place, since the suspended parent truncates P back to its length
-        at push before it resumes the child; base is how many entries it
-        inherits, for max_p; boxes the inherited boxes in bucket order,
-        to which its own are appended; clash the first clash among them.
-        The inherited entries were saturated by their owners, so a
-        literal copy found among them has all its shorter copies there
-        too, and the literal step stops there.
+        parent's up), which _sees walks; base counts the inherited
+        entries, for max_p; boxes are the inherited boxes in bucket order,
+        the child's own appended after them; clash is the first clash
+        among them, the parent's witness unless that one sits deeper than
+        nu, when _first_clash finds it (only on a leaf that rejects
+        anyway).  A parent whose start adds are no deeper than nu passes
+        on all it sees; otherwise (a diamond child's Er at a shorter
+        prefix than its diamond) base comes from dc, the counts per prefix
+        length of order[:counted], brought up to date at the push and cut
+        back on undo.  Inherited entries were saturated by their owners,
+        so a literal copy found among them has all its shorter copies
+        there too, and the literal step stops there.
 
         One loop runs the saturation cursor over order.  Every entry of
         order before the cursor has been passed once on this branch:
@@ -378,17 +383,7 @@ class _Engine:
         literals at prefixes no longer than nu are merged into P.  Its
         choice point does not cut the log: the suspended child cuts it
         through its own choice points, which all lie above the length at
-        push.
-
-        The leaf gives a quantifier child its boxes filtered by len(nu)
-        and its own clash witness, unless that one sits deeper than nu:
-        then _first_clash finds the first clash the child inherits, which
-        happens only on a leaf that rejects anyway.  A leaf whose start
-        adds are no deeper than nu, the deepest it holds, passes on all
-        it sees.  Otherwise (a diamond child's Er at a shorter prefix
-        than its diamond) base comes from dc, the count of order[:counted]
-        per prefix length, brought up to date at the push and cut back
-        on undo, in O(depth) per child."""
+        push."""
         st = self.stats
         true_atoms = None if state is None else self.valuation[state]
         log = self.log
