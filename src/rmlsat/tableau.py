@@ -10,7 +10,7 @@ Rules (premise => conclusion, with side conditions):
 
     and: (mu,sigma) a & b  =>  (mu,sigma) a  and  (mu,sigma) b
     or:  (mu,sigma) a | b  =>  (mu,sigma) a  or  (mu,sigma) b    (a choice)
-    lit: (mu.nu,sigma) l   =>  (mu,sigma) l                      (l a literal)
+    lit: (mu.m,sigma) l    =>  (mu,sigma) l                      (l a literal)
     dia: (mu,sigma) <>a    =>  (mu,sigma.i) a   with sigma.i fresh
     exr: (mu,sigma) Er a   =>  (mu.m,sigma) a   with mu.m fresh
     box: (mu,sigma) []a    =>  (mu,sigma.i) a   where some (mu.nu, sigma.i)
@@ -19,6 +19,9 @@ Rules (premise => conclusion, with side conditions):
 The box side condition is what maintains the refinement discipline: if
 a descendant model visits a successor state, that successor implicitly
 exists in every ancestor model, so box obligations apply to it there.
+Closed under lit, a branch holds each literal at every ancestor model
+prefix: the first missing copy above a literal sits one step above a
+present copy.  The solver's L trace line applies a whole chain of lit steps.
 
 A branch is complete when no rule instance remains, and accepting when
 additionally no (model prefix, state prefix) pair carries both an atom
@@ -29,13 +32,13 @@ refinement mappings that send each shared state prefix to itself.
 Fresh indices for dia/exr come from a single per-branch counter, so
 prefixes are globally unique within a branch.
 
-Each branch keeps an index of its entries: from (mu, sigma) to the
-successor prefixes sigma.i occurring under a model prefix extending mu,
-and from (mu, sigma, body) to its dia witnesses (mu, sigma.i, body) and
-exr witnesses (mu.m, sigma, body).  Each of these three maps is built in
-one pass over the entries the first time a lookup needs it.  The side
-conditions of dia, exr and box and the completeness check look entries
-up there instead of scanning the branch.
+Each branch keeps an index of its entries: from sigma to the pairs
+(model prefix, sigma.i) that occur, which a box at (mu, sigma) filters
+to the model prefixes extending mu, and from (mu, sigma, body) to its
+dia witnesses (mu, sigma.i, body) and exr witnesses (mu.m, sigma, body).
+Each map is built in one pass over the entries, one update per entry,
+the first time a lookup needs it.  The side conditions of dia, exr and
+box and the completeness check look entries up there.
 
 Model reading makes one pass over the entries, giving each distinct
 state prefix a small id, sorts the state names once and then does work
@@ -110,7 +113,7 @@ def format_rule_line(rule, entry, conclusions):
 class RuleInstance(_Frozen):
     """One applicable rule application.
 
-    target carries the extra datum a rule needs: the ancestor model
+    target carries the extra datum a rule needs: the parent model
     prefix for lit, the existing successor state prefix for box, None
     otherwise.
     """
@@ -165,20 +168,17 @@ class Branch:
 
     # -- rule machinery ------------------------------------------------------
 
-    # The index (see the module docstring).  Building a map costs one
-    # update per entry, per prefix of its model prefix for succ.
+    # The index (see the module docstring): one update per entry.
 
     def _successors(self):
-        """(mu, sigma) -> {sigma.i: None}: the immediate extensions of sigma
-        that occur with a model prefix extending mu, in first-occurrence
-        order."""
+        """sigma -> {(mu, sigma.i): None}: the distinct pairs of a model
+        prefix and an immediate extension of sigma that occur together, in
+        first-occurrence order."""
         if self._succ is None:
             succ = {}
             for mu, sigma, _ in self._entries:
                 if len(sigma) > 1:
-                    parent = sigma[:-1]
-                    for k in range(1, len(mu) + 1):
-                        succ.setdefault((mu[:k], parent), {})[sigma] = None
+                    succ.setdefault(sigma[:-1], {})[mu, sigma] = None
             self._succ = succ
         return self._succ
 
@@ -194,8 +194,9 @@ class Branch:
 
     def _box_witnesses(self, mu, sigma):
         """Existing successor prefixes sigma.i visible to a box at (mu, sigma):
-        those occurring with a model prefix extending mu."""
-        return list(self._successors().get((mu, sigma), ()))
+        those occurring with a model prefix extending mu, in entry order."""
+        pairs = self._successors().get(sigma, ())
+        return list(dict.fromkeys(s for m, s in pairs if is_prefix_of(mu, m)))
 
     def _has_dia_witness(self, mu, sigma, body):
         if self._dia is None:
@@ -219,9 +220,8 @@ class Branch:
                 if (mu, sigma, f.left) not in entries and (mu, sigma, f.right) not in entries:
                     out.append(RuleInstance("or", e))
             elif is_literal(f):
-                for k in range(len(mu) - 1, 0, -1):
-                    if (mu[:k], sigma, f) not in entries:
-                        out.append(RuleInstance("lit", e, mu[:k]))
+                if len(mu) > 1 and (mu[:-1], sigma, f) not in entries:
+                    out.append(RuleInstance("lit", e, mu[:-1]))
             elif isinstance(f, Diamond):
                 if not self._has_dia_witness(mu, sigma, f.body):
                     out.append(RuleInstance("dia", e))
@@ -260,8 +260,8 @@ class Branch:
                 raise ValueError("or-instance on a non-disjunction")
             return self._extended([(mu, sigma, side)])
         if inst.rule == "lit":
-            if not is_literal(f) or not is_prefix_of(inst.target, mu) or inst.target == mu:
-                raise ValueError("lit-instance needs a proper ancestor model prefix")
+            if not is_literal(f) or len(mu) < 2 or inst.target != mu[:-1]:
+                raise ValueError("lit-instance needs the parent model prefix")
             return self._extended([(inst.target, sigma, f)])
         if inst.rule == "dia":
             if not isinstance(f, Diamond):

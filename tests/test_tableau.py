@@ -1,7 +1,10 @@
+import random
+import time
+
 import pytest
 
 from rmlsat import gen
-from rmlsat.formula import parse
+from rmlsat.formula import And, Atom, Box, Diamond, ExistsR, NegAtom, Or, parse
 from rmlsat.kripke import KripkeModel, model_to_dict, verify_refinement_mapping
 from rmlsat.solver import SolverOptions, sat
 from rmlsat.tableau import (
@@ -13,6 +16,7 @@ from rmlsat.tableau import (
     ModelChain,
     NotComplete,
     RuleInstance,
+    _check_acceptance,
     extract_models,
     format_rule_line,
     is_prefix_of,
@@ -119,6 +123,17 @@ class TestApply:
             work = work.apply(inst, "left" if inst.rule == "or" else None)
             assert seen <= set(work.entries)
             seen = set(work.entries)
+
+
+    def test_lit_copies_one_step(self):
+        e = entry([1, 2, 3], [1], "p")
+        b = Branch([e])
+        assert [str(i) for i in b.applicable_instances()] == ["lit on (1.2.3,1) p target=1.2"]
+        with pytest.raises(ValueError):
+            b.apply(RuleInstance("lit", e, (1,)))
+        got = b.apply(RuleInstance("lit", e, (1, 2)))
+        assert [str(i) for i in got.applicable_instances()] == ["lit on (1.2,1) p target=1"]
+        assert got.apply(got.applicable_instances()[0]).is_complete()
 
 
 class TestClash:
@@ -256,6 +271,73 @@ def scan_exr_witness(b, mu, sigma, body):
     return any(s == sigma and m[:-1] == mu and len(m) > 1 and f == body for m, s, f in b.entries)
 
 
+def scan_instances(b):
+    """The rule instances of b under the any-ancestor lit rule, each side
+    condition a scan of the entries."""
+    entries = b.entries
+    out = []
+    for e in entries:
+        mu, sigma, f = e
+        if isinstance(f, And):
+            if (mu, sigma, f.left) not in entries or (mu, sigma, f.right) not in entries:
+                out.append(RuleInstance("and", e))
+        elif isinstance(f, Or):
+            if (mu, sigma, f.left) not in entries and (mu, sigma, f.right) not in entries:
+                out.append(RuleInstance("or", e))
+        elif isinstance(f, (Atom, NegAtom)):
+            for k in range(len(mu) - 1, 0, -1):
+                if (mu[:k], sigma, f) not in entries:
+                    out.append(RuleInstance("lit", e, mu[:k]))
+        elif isinstance(f, Diamond):
+            if not scan_dia_witness(b, mu, sigma, f.body):
+                out.append(RuleInstance("dia", e))
+        elif isinstance(f, ExistsR):
+            if not scan_exr_witness(b, mu, sigma, f.body):
+                out.append(RuleInstance("exr", e))
+        elif isinstance(f, Box):
+            for sigma2 in scan_box_witnesses(b, mu, sigma):
+                if (mu, sigma2, f.body) not in entries:
+                    out.append(RuleInstance("box", e, sigma2))
+    return out
+
+
+class TestOneStepLit:
+    """A branch is closed under the one-step lit rule exactly when it is
+    closed under the rule that copies a literal to any ancestor model
+    prefix; the other rules list the same instances as the scans."""
+
+    def assert_matches_scan(self, b):
+        ours, scanned = b.applicable_instances(), scan_instances(b)
+        assert b.is_complete() == (scanned == [])
+        assert [i for i in ours if i.rule != "lit"] == [i for i in scanned if i.rule != "lit"]
+        assert {i for i in ours if i.rule == "lit"} <= set(scanned)
+
+    def test_solver_branches_cut(self):
+        rng = random.Random(1)
+        seen = 0
+        for f in gen.enumerate_formulas(5, ("p", "q")):
+            res = sat(f)
+            if not res.satisfiable:
+                continue
+            entries = res.branch.entries
+            for k in {len(entries), len(entries) - 1, rng.randrange(1, len(entries) + 1)}:
+                if k:
+                    self.assert_matches_scan(Branch(entries[:k]))
+                    seen += 1
+        assert seen > 4000
+
+    @pytest.mark.parametrize("entries", [
+        [entry([1, 2, 3], [1], "p")],
+        [entry([1, 2, 3], [1], "p"), entry([1], [1], "p")],
+        [entry([1, 2, 3], [1], "p"), entry([1, 2], [1], "p")],
+        [entry([1, 2, 3, 4], [1, 5], "!q"), entry([1, 2], [1, 5], "!q"), entry([1], [1, 5], "!q")],
+        [entry([1, 2, 3, 4], [1, 5], "!q"), entry([1, 2, 3], [1, 5], "!q"),
+         entry([1, 2], [1, 5], "!q"), entry([1], [1, 5], "!q")],
+    ])
+    def test_hand_built_gaps(self, entries):
+        self.assert_matches_scan(Branch(entries))
+
+
 class TestValueTypes:
     """RuleInstance is frozen and hashes as its fields; ChainModel and
     ModelChain are mutable and unhashable; all compare and print field-wise."""
@@ -319,6 +401,27 @@ class TestIndex:
             if res.satisfiable:
                 self.assert_matches_scans(res.branch)
 
+    @pytest.mark.parametrize("text", [
+        "[]q & " + "Er <>" * 12 + "p",
+        "Er <>[]q & " + "Er <>" * 12 + "p",
+    ])
+    def test_nested_boxes(self, text):
+        res = sat(parse(text))
+        assert res.satisfiable
+        self.assert_matches_scans(res.branch)
+
+    def test_successor_first_seen_under_another_model(self):
+        # 1.5 first occurs under 1.2, which does not extend 1.3
+        b = Branch([
+            entry([1, 2], [1, 5], "x"),
+            entry([1, 3], [1, 4], "y"),
+            entry([1, 3], [1, 5], "z"),
+            entry([1], [1], "[]w"),
+        ])
+        assert b._box_witnesses((1, 3), (1,)) == [(1, 4), (1, 5)]
+        assert b._box_witnesses((1,), (1,)) == [(1, 5), (1, 4)]
+        self.assert_matches_scans(b)
+
     def test_hand_built_branch(self):
         self.assert_matches_scans(Branch([
             entry([1], [1], "[]p"),
@@ -336,6 +439,39 @@ class TestIndex:
         got = b.apply(by_rule(b, "dia")[0])
         assert by_rule(got, "dia") == []
         assert [i.target for i in by_rule(got, "box")] == [(1, 1)]
+
+
+def er_nest_branch(n):
+    """The complete branch of Er x n p, built without the search: the
+    chain of quantifiers and p copied to every model prefix above."""
+    f = parse("Er " * n + "p")
+    mus, out = [(1,)], []
+    for j in range(n):
+        out.append((mus[-1], (1,), f))
+        f = f.body
+        mus.append(mus[-1] + (j + 1,))
+    return Branch(out + [(mu, (1,), f) for mu in reversed(mus)])
+
+
+class TestAcceptanceScaling:
+    """The acceptance re-check looks one step up from each literal and
+    once per entry into the box index, so deep branches check in
+    about linear time; the old ancestor loops took several seconds here."""
+
+    def assert_fast(self, b):
+        t = time.perf_counter()
+        _check_acceptance(b)
+        assert time.perf_counter() - t < 1.0
+
+    def test_er_nest(self):
+        b = er_nest_branch(1600)
+        assert len(b) == 3201
+        self.assert_fast(b)
+
+    def test_box_over_er_dia_nest(self):
+        res = sat(parse("[]q & " + "Er <>" * 500 + "p"))
+        # a fresh branch, whose index sat() has not built yet
+        self.assert_fast(Branch(res.branch.entries, res.branch.next_index))
 
 
 class TestSolverBranchesAreWellFormed:
