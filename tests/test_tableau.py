@@ -124,7 +124,6 @@ class TestApply:
             assert seen <= set(work.entries)
             seen = set(work.entries)
 
-
     def test_lit_copies_one_step(self):
         e = entry([1, 2, 3], [1], "p")
         b = Branch([e])
@@ -455,8 +454,9 @@ def er_nest_branch(n):
 
 class TestAcceptanceScaling:
     """The acceptance re-check looks one step up from each literal and
-    once per entry into the box index, so deep branches check in
-    about linear time; the old ancestor loops took several seconds here."""
+    builds the box index with one update per entry, so deep branches
+    check in about linear time; walking every ancestor model prefix of
+    every literal takes several seconds on either input."""
 
     def assert_fast(self, b):
         t = time.perf_counter()
