@@ -26,12 +26,23 @@ negations down to the atoms.
 The nine node classes sit on three arity bases, ``_Leaf(name)``,
 ``_Unary(body)`` and ``_Binary(left, right)``, which own construction,
 hashing and equality; a node class adds only its hash tag and its
-rendered operator.  The parser is one operator-precedence loop with an
-explicit operator stack over the token strings of one regex scan.  It
-finds token offsets only when it raises a :class:`ParseError`, and then
-a lexical error anywhere in the text comes first.  Every walker here is
-a loop, so formulas of any depth parse, compare, render and normalize
-without recursion.
+rendered operator.
+
+There is one object per literal in a process.  A table keyed by the
+atom name holds each name's :class:`Atom`, whose ``complement`` slot
+links it to its :class:`NegAtom`, and the NegAtom links back.  So the
+solver reads a literal's complement without building one, and a dict
+lookup of it meets the formula's own object, which compares by
+identity.  Hashes stay structural, so set and dict orders, and with them
+traces, never depend on object addresses.
+
+The parser is one operator-precedence loop with an explicit operator
+stack over the token strings of one regex scan.  It takes each leaf
+from the literal table and matches only new names against the atom
+pattern.  It finds token offsets only when it raises a
+:class:`ParseError`, and then a lexical error anywhere in the text comes
+first.  Every walker here is a loop, so formulas of any depth parse,
+compare, render and normalize without recursion.
 """
 
 import re
@@ -94,15 +105,31 @@ class Formula:
 
 
 class _Leaf(Formula):
-    """An atom or a negated atom.  ``_op`` is the rendered prefix."""
+    """An atom or a negated atom.  ``_op`` is the rendered prefix.
 
-    __slots__ = ("name",)
+    ``Atom(name)`` and ``NegAtom(name)`` return the one object of that
+    literal in the process, reached through ``_LEAVES``; ``complement``
+    is the other polarity's object.  A NegAtom is made the first time it
+    is asked for, and until then its Atom's ``complement`` is None: no
+    formula can hold a literal that does not exist, so there is nothing
+    for it to clash with.  Equality stays structural and the hash is that
+    of ``(tag, name)``, as for any node, not the object's address:
+    iteration orders then depend on names alone.  Pickling and copying
+    give back the same object."""
 
-    def __init__(self, name):
-        if not _ATOM_RE.fullmatch(name):
-            raise ValueError(f"bad atom name: {name!r}")
-        self.name = name
-        self._hash = hash((self._tag, name))
+    __slots__ = ("name", "complement")
+
+    def __new__(cls, name):
+        try:
+            atom = _LEAVES[name]
+        except (KeyError, TypeError):
+            atom = _new_atom(name)
+        if cls is Atom:
+            return atom
+        return atom.complement or _negate(atom)
+
+    def __reduce__(self):
+        return type(self), (self.name,)
 
     def __eq__(self, other):
         return type(other) is type(self) and other.name == self.name
@@ -139,6 +166,34 @@ class Atom(_Leaf):
 class NegAtom(_Leaf):
     __slots__ = ()
     _tag, _op = "neg", "!"
+
+
+# Every literal object, by atom name: the name's Atom, whose complement
+# is its NegAtom once one was asked for.  It grows with the distinct
+# names a process sees, by one entry each.
+_LEAVES = {}
+
+
+def _new_atom(name):
+    """Validate name and enter its Atom in _LEAVES."""
+    if not _ATOM_RE.fullmatch(name):
+        raise ValueError(f"bad atom name: {name!r}")
+    atom = object.__new__(Atom)
+    atom.name = name
+    atom._hash = hash((Atom._tag, name))
+    atom.complement = None
+    _LEAVES[name] = atom
+    return atom
+
+
+def _negate(atom):
+    """The NegAtom of atom, whose complement is still None, linked both ways."""
+    neg = object.__new__(NegAtom)
+    neg.name = atom.name
+    neg._hash = hash((NegAtom._tag, atom.name))
+    neg.complement = atom
+    atom.complement = neg
+    return neg
 
 
 class And(_Binary):
@@ -370,7 +425,7 @@ def normalize(g, require_existential=True):
             raise TypeError(f"not a formula: {f!r}")
         cls = _DUAL[kind] if neg else kind
         if isinstance(f, _Leaf):
-            out.append(cls(f.name) if neg else f)
+            out.append((f.complement or _negate(f)) if neg else f)
         elif isinstance(f, _Binary):
             stack += ((cls, None), (f.right, neg), (f.left, neg))
         else:
@@ -428,6 +483,7 @@ def _parse(text, general):
     operands of the pending connectives."""
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")
+    leaves = _LEAVES
     ops, args = [], []
     i = 0
     while True:
@@ -447,14 +503,20 @@ def _parse(text, general):
                 continue
             t = tokens[i]
             i += 1
-            if not _ATOM_RE.fullmatch(t):
-                raise _error(text, i - 1, "negation applies only to atoms", ("atom",))
-            f = NegAtom(t)
-        elif _ATOM_RE.fullmatch(t):
-            f = Atom(t)
+            f = leaves.get(t)
+            if f is None:
+                if not _ATOM_RE.fullmatch(t):
+                    raise _error(text, i - 1, "negation applies only to atoms", ("atom",))
+                f = _new_atom(t)
+            f = f.complement or _negate(f)
         else:
-            message = f"unexpected {t!r}" if t else "expected a formula"
-            raise _error(text, i - 1, message, _UNARY_EXPECTED)
+            # a name seen before is in the table; only a new one is matched
+            f = leaves.get(t)
+            if f is None:
+                if not _ATOM_RE.fullmatch(t):
+                    message = f"unexpected {t!r}" if t else "expected a formula"
+                    raise _error(text, i - 1, message, _UNARY_EXPECTED)
+                f = _new_atom(t)
         # operator position: apply the pending prefixes, then read "&", "|",
         # ")" or the end; "&" binds tighter than "|", both associate left
         while True:

@@ -105,22 +105,6 @@ __all__ = [
 ]
 
 
-# Each literal's complement, keyed by the literal's (type, name).  It is
-# a pure function of immutable values, so one table serves every run in
-# the process; it holds two literals per atom name seen.  Building a
-# literal validates its name again (about 1 us), and every parse makes
-# fresh literal objects, so a table per run would rebuild them on every
-# call.  The key hashes and compares in C, with no call of
-# Formula.__hash__ or __eq__.
-_COMPLEMENTS = {}
-_LITERALS = (Atom, NegAtom)
-
-
-def _complement(t, name):
-    c = _COMPLEMENTS[t, name] = NegAtom(name) if t is Atom else Atom(name)
-    return c
-
-
 class ClashFailure(Exception):
     """Every choice sequence for the activation ran into a clash."""
 
@@ -140,6 +124,9 @@ class SolverOptions(_Record):
         self.time_budget = time_budget  # seconds, None for unlimited
         self.trace = trace  # record trace lines in SatResult.trace
         self.trace_out = trace_out  # stream for live trace lines; also turns tracing on
+
+
+_DEFAULT_OPTIONS = SolverOptions()  # the engine only reads its options
 
 
 class SearchStats(_Record):
@@ -210,7 +197,7 @@ class SatResult(_Record):
 
 class _Engine:
     def __init__(self, opts=None):
-        self.opts = opts or SolverOptions()
+        self.opts = opts or _DEFAULT_OPTIONS
         self.point = None  # the model state the root's prefix is pinned to
         self.valuation = None  # state -> its true atoms; set by the model checker
         self.counter = 1
@@ -268,11 +255,6 @@ class _Engine:
             self._emit_line(
                 f"REJECT ({render_prefix(mu)},{render_prefix(sigma)}) literal {render(f)}"
             )
-
-    def _fresh(self):
-        i = self.counter
-        self.counter += 1
-        return i
 
     def _check_time(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -393,10 +375,12 @@ class _Engine:
                 continue
             if true_atoms is None:
                 log.append((a[0], sigma, a[1]))
-            elif type(a[1]) in _LITERALS and (a[1].name in true_atoms) != (type(a[1]) is Atom):
-                self._reject_literal((a[0], sigma, a[1]))
-                yield None
-                return
+            else:
+                t = type(a[1])
+                if (t is Atom or t is NegAtom) and (a[1].name in true_atoms) != (t is Atom):
+                    self._reject_literal((a[0], sigma, a[1]))
+                    yield None
+                    return
             if not P and len(sigma) > st.max_state_prefix_len:
                 st.max_state_prefix_len = len(sigma)
             P[a] = len(order)
@@ -415,12 +399,12 @@ class _Engine:
         st.activations += 1
         if st.activations > self.opts.node_budget:
             raise ResourceLimit(f"activation budget exhausted ({self.opts.node_budget})")
-        self._check_time()
+        deadline = self.deadline
+        if deadline is not None:
+            self._check_time()
         if depth > st.max_depth:
             st.max_depth = depth
         tracing = self.trace is not None
-        deadline = self.deadline
-        complements = _COMPLEMENTS
         dias, ns = [], []
         dc, counted = None, 0
         cursor = 0
@@ -455,9 +439,10 @@ class _Engine:
                 nu, f = e
                 t = type(f)
                 if t is Atom or t is NegAtom:
-                    if clash is None:
+                    # a literal whose complement was never made cannot clash
+                    if clash is None and f.complement is not None:
                         # the cursor is already past e, which is not its own complement
-                        x = (nu, complements.get((t, f.name)) or _complement(t, f.name))
+                        x = (nu, f.complement)
                         at = P.get(x)
                         if (cursor > at) if at is not None else up is not None and _sees(up, x):
                             clash = (nu, sigma, f.name)
@@ -496,7 +481,10 @@ class _Engine:
             if adds is None and clash is not None and not (dias or boxes or ns):
                 self._reject_clash(clash)
             elif adds is None:
-                boxes1, targets = self._box1_targets(boxes, state) if up is None else ((), ())
+                if boxes and up is None:
+                    boxes1, targets = self._box1_targets(boxes, state)
+                else:
+                    boxes1, targets = (), ()
                 nb = len(targets)
                 nd = nb + len(dias)
                 nk = nd + len(ns)
@@ -509,24 +497,31 @@ class _Engine:
                         else:
                             yield P
                     elif k < nd:
-                        sigma_i = sigma + (self._fresh(),)
+                        sigma_i = sigma + (self.counter,)
+                        self.counter += 1
                         if k < nb:
                             rules, premises = ("BOX1", "BOX1"), boxes1
                             states = (targets[k],)
                         else:
                             e = dias[k - nb]
-                            nu = e[0]
+                            lim = len(e[0])
                             rules = ("DIA", "BOX")
-                            premises = [e] + [b for b in boxes if len(b[0]) <= len(nu)]
+                            premises = [e]
+                            for x in boxes:
+                                if len(x[0]) <= lim:
+                                    premises.append(x)
                             states = self._successor_states(state)
-                        concls = [(x[0], x[1].body) for x in premises]
+                        concls = []
+                        for x in premises:
+                            concls.append((x[0], x[1].body))
                         kids.append((iter(states), rules, premises, concls, len(order), len(log),
                                      sigma_i))
                     else:
                         e = ns[k - nd]
                         nu = e[0]
                         lim = len(nu)
-                        new_entry = (nu + (self._fresh(),), e[1].body)
+                        new_entry = (nu + (self.counter,), e[1].body)
+                        self.counter += 1
                         self._emit("EXR", e, [new_entry], sigma)
                         if lim >= top:
                             child_base = base + n
@@ -629,8 +624,8 @@ def _first_clash(P, order, up, lim, sigma):
     depth inherits, when those up passes on hold none."""
     for i, (mu, f) in enumerate(order):
         t = type(f)
-        if (t is Atom or t is NegAtom) and len(mu) <= lim:
-            x = (mu, _COMPLEMENTS.get((t, f.name)) or _complement(t, f.name))
+        if (t is Atom or t is NegAtom) and len(mu) <= lim and f.complement is not None:
+            x = (mu, f.complement)
             at = P.get(x)
             if (i > at) if at is not None else up is not None and _sees(up, x):
                 return (mu, sigma, f.name)

@@ -198,40 +198,65 @@ class Branch:
         pairs = self._successors().get(sigma, ())
         return list(dict.fromkeys(s for m, s in pairs if is_prefix_of(mu, m)))
 
-    def _has_dia_witness(self, mu, sigma, body):
+    def _dia_witnesses(self):
+        """{(mu, sigma, a)} such that some (mu, sigma.i, a) occurs."""
         if self._dia is None:
-            self._dia = {(m, s[:-1], f) for m, s, f in self._entries if len(s) > 1}
-        return (mu, sigma, body) in self._dia
+            dia = set()
+            for m, s, f in self._entries:
+                if len(s) > 1:
+                    dia.add((m, s[:-1], f))
+            self._dia = dia
+        return self._dia
+
+    def _has_dia_witness(self, mu, sigma, body):
+        return (mu, sigma, body) in self._dia_witnesses()
 
     def _has_exr_witness(self, mu, sigma, body):
         return (mu, sigma, body) in self._exr_children()
 
     def applicable_instances(self):
         """Every rule instance whose side condition holds and whose
-        conclusion is not already present, in deterministic order."""
+        conclusion is not already present, in deterministic order.  One
+        pass over the entries dispatches on each formula's type; an index
+        is built the first time an entry needs it."""
         out = []
         entries = self._entries
+        dia = exr = succ = None
         for e in entries:
             mu, sigma, f = e
-            if isinstance(f, And):
-                if (mu, sigma, f.left) not in entries or (mu, sigma, f.right) not in entries:
-                    out.append(RuleInstance("and", e))
-            elif isinstance(f, Or):
-                if (mu, sigma, f.left) not in entries and (mu, sigma, f.right) not in entries:
-                    out.append(RuleInstance("or", e))
-            elif is_literal(f):
+            t = type(f)
+            if t is Atom or t is NegAtom:
                 if len(mu) > 1 and (mu[:-1], sigma, f) not in entries:
                     out.append(RuleInstance("lit", e, mu[:-1]))
-            elif isinstance(f, Diamond):
-                if not self._has_dia_witness(mu, sigma, f.body):
+            elif t is And:
+                if (mu, sigma, f.left) not in entries or (mu, sigma, f.right) not in entries:
+                    out.append(RuleInstance("and", e))
+            elif t is Or:
+                if (mu, sigma, f.left) not in entries and (mu, sigma, f.right) not in entries:
+                    out.append(RuleInstance("or", e))
+            elif t is Diamond:
+                if dia is None:
+                    dia = self._dia_witnesses()
+                if (mu, sigma, f.body) not in dia:
                     out.append(RuleInstance("dia", e))
-            elif isinstance(f, ExistsR):
-                if not self._has_exr_witness(mu, sigma, f.body):
+            elif t is ExistsR:
+                if exr is None:
+                    exr = self._exr_children()
+                if (mu, sigma, f.body) not in exr:
                     out.append(RuleInstance("exr", e))
-            elif isinstance(f, Box):
-                for sigma2 in self._box_witnesses(mu, sigma):
-                    if (mu, sigma2, f.body) not in entries:
-                        out.append(RuleInstance("box", e, sigma2))
+            elif t is Box:
+                if succ is None:
+                    succ = self._successors()
+                pairs = succ.get(sigma)
+                if pairs:
+                    # _box_witnesses, inline: each sigma.i once, in entry order
+                    k = len(mu)
+                    seen = set()
+                    for m, sigma2 in pairs:
+                        if m[:k] == mu and sigma2 not in seen:
+                            seen.add(sigma2)
+                            if (mu, sigma2, f.body) not in entries:
+                                out.append(RuleInstance("box", e, sigma2))
         return out
 
     def apply(self, inst, choice=None):

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 import kref
-from rmlsat import gen, solver
+from rmlsat import formula, gen, solver
 from rmlsat.errors import ResourceLimit
 from rmlsat.formula import FragmentViolation, metrics, parse, render, size
 from rmlsat.kripke import KripkeModel, PointedModel, verify_refinement_mapping
@@ -24,6 +24,14 @@ from rmlsat.solver import (
     sat,
 )
 from rmlsat.tableau import Clash, NotComplete, extract_models
+
+
+# all eight sign patterns over c0..c2: unsatisfiable, and the search tries
+# every or choice before it can say so
+CNF_CORE = " & ".join(
+    "(" + " | ".join(("!" if neg else "") + v for v, neg in zip(("c0", "c1", "c2"), signs)) + ")"
+    for signs in itertools.product((False, True), repeat=3)
+)
 
 
 def entries(*rows):
@@ -342,13 +350,7 @@ class TestStats:
         "wrap, max_p", [("Er <>({})", 31), ("<>Er ({})", 32)], ids=["er-dia", "dia-er"]
     )
     def test_cnf_core_search_shape(self, wrap, max_p):
-        # all eight sign patterns over c0..c2: unsatisfiable, and the search
-        # tries every or choice before it can say so
-        clauses = " & ".join(
-            "(" + " | ".join(("!" if neg else "") + v for v, neg in zip(("c0", "c1", "c2"), signs)) + ")"
-            for signs in itertools.product((False, True), repeat=3)
-        )
-        res = sat(parse(wrap.format(clauses)), SolverOptions(trace=True))
+        res = sat(parse(wrap.format(CNF_CORE)), SolverOptions(trace=True))
         assert res.satisfiable is False
         assert res.stats.summary() == (
             f"activations=3 max_depth=3 max_p={max_p} backtracks=2401 max_mu_len=2 max_sigma_len=2"
@@ -358,6 +360,24 @@ class TestStats:
             rule = line.split(" ", 1)[0]
             rules[rule] = rules.get(rule, 0) + 1
         assert rules == {"EXR": 1, "DIA": 1, "AND": 164, "OR": 4800, "L": 3045, "REJECT": 2401}
+
+    def test_clash_lookups_compare_by_identity(self, monkeypatch):
+        # a clash lookup meets the formula's own complement object, which a
+        # dict compares by identity: no call of _Leaf.__eq__ (2,520 per core
+        # when complements were built apart from the formula)
+        calls = []
+        eq = formula._Leaf.__eq__
+
+        def counted(self, other):
+            calls.append(other)
+            return eq(self, other)
+
+        monkeypatch.setattr(formula._Leaf, "__eq__", counted)
+        for wrap in ("Er <>({})", "<>Er ({})"):
+            assert sat(parse(wrap.format(CNF_CORE))).satisfiable is False
+        loop = PointedModel(KripkeModel(["s"], [("s", "s")], {"s": ["c0"]}), "s")
+        assert check(loop, parse(f"Er <>({CNF_CORE})")) is False
+        assert calls == []
 
 
 class TestDeterminism:
