@@ -30,11 +30,11 @@ rendered operator.
 
 There is one object per literal in a process.  A table keyed by the
 atom name holds each name's :class:`Atom`, whose ``complement`` slot
-links it to its :class:`NegAtom`, and the NegAtom links back.  So the
-solver reads a literal's complement without building one, and a dict
-lookup of it meets the formula's own object, which compares by
-identity.  Hashes stay structural, so set and dict orders, and with them
-traces, never depend on object addresses.
+links it to its :class:`NegAtom`, made on first use, and the NegAtom
+links back.  So the solver reads a literal's complement without
+building one, and a dict lookup of it meets the formula's own object,
+which compares by identity.  Hashes stay structural, so set and dict
+orders, and with them traces, never depend on object addresses.
 
 The parser is one operator-precedence loop with an explicit operator
 stack over the token strings of one regex scan.  It takes each leaf
@@ -170,7 +170,9 @@ class NegAtom(_Leaf):
 
 # Every literal object, by atom name: the name's Atom, whose complement
 # is its NegAtom once one was asked for.  It grows with the distinct
-# names a process sees, by one entry each.
+# names a process sees, by one entry each.  Two threads that meet a new
+# name at once may each build a literal; equality is structural, so
+# only the identity shortcut is lost.
 _LEAVES = {}
 
 

@@ -57,12 +57,15 @@ class NotATree(Exception):
     """The operation requires a tree rooted at the point."""
 
 
+_EMPTY = frozenset()  # every unlabelled state's valuation
+
+
 class KripkeModel:
     """Immutable finite transition structure with an atom valuation.
 
     states are opaque strings; transitions is any iterable of (from, to)
     pairs over them; valuation maps states to iterables of atom names
-    (missing states get the empty set).  The edges are kept once, in
+    (missing states get the empty set, one object shared by all).  The edges are kept once, in
     ``_succ``, each state's sorted tuple of successors.  The node form of
     :func:`graph_nodes` is built on first use and kept in ``_nodes``,
     which equality and hashing ignore.
@@ -83,7 +86,7 @@ class KripkeModel:
             if s not in succ:
                 raise StateNotFound(f"valuation mentions unknown state {s!r}")
         self.valuation = {
-            s: frozenset(valuation.get(s, ())) for s in self.states
+            s: frozenset(valuation.get(s, ())) or _EMPTY for s in self.states
         }
         self._nodes = None
 
