@@ -1,41 +1,9 @@
-"""Tableau-based model checking against a concrete Kripke structure.
+"""Model checking against a concrete Kripke structure, and its hardness.
 
-The satisfiability engine runs unchanged except that state prefixes are
-pinned to states of the checked model:
-
-- prefix 1 is pinned to the checked point;
-- when a diamond introduces a fresh successor prefix under a prefix
-  pinned to v, the new prefix is pinned to some successor of v (one
-  backtracking choice per successor, tried in state order);
-- every literal entry must hold in the model at the state its prefix is
-  pinned to, else the branch rejects;
-- box entries at model prefix 1 speak about the real model, so an extra
-  expansion (BOX1) gives every successor of the current state a fresh
-  pinned prefix carrying all prefix-1 box bodies.  It runs eagerly
-  right after saturation, before any diamond child is pinned; the box
-  bodies must hold at every successor anyway, so it loses no branch.
-
-Every entry of a check activation sits at the activation's own state
-prefix, so the engine passes each activation just that prefix's state.
-BOX1 runs once per state prefix, in the activation that introduced it
-(the root, a BOX1 child or a diamond child: the ones that inherit no
-entries), and covers every successor there.  A quantifier child shares
-its parent's state prefix and adds no BOX1 child: saturation adds only
-literals at model prefix 1, so its boxes there are its parent's, which
-the parent's BOX1 children already carry to every successor.  Two
-fresh prefixes at the same state may be pinned to the same model state.
-
-The checker's engine sets the engine's point, the root's state, and its
-valuation: with a pinned state the engine's add blocks reject a new
-literal that does not hold there and keep no log (check needs only a
-verdict, so it builds no list of produced triples).  It overrides two
-hooks: a fresh successor prefix's target states are its state's
-successors, and _box1_targets returns the boxes at model prefix 1 and
-every successor of the state, each made a BOX1 child, the first choice
-points on the stack that also holds the leaf's diamond and quantifier
-children.  Activations run from one explicit
-stack, so 10,000 nested `<>` or `[]` over `p` are decided on a one-state
-loop, in time and memory that grow with the whole-path state prefixes.
+check(a, f) runs the satisfiability engine of the solver on f with every
+state prefix pinned to a state of the pointed model a; the solver's
+docstring describes the pinning (BOX1, pinned successors, literals
+checked at the pinned state).
 
 This module also builds the classic hardness instance: satisfiability
 of a variable-free basic modal formula psi reduces to checking
@@ -86,23 +54,6 @@ class InvalidInput(Exception):
     """The reduction only accepts variable-free constant-grammar formulas."""
 
 
-class _CheckEngine(_Engine):
-    def __init__(self, opts, pointed):
-        super().__init__(opts)
-        self.m = pointed.model
-        self.point = pointed.point
-        self.valuation = self.m.valuation
-
-    def _successor_states(self, state):
-        return self.m.successors(state)
-
-    def _box1_targets(self, boxes, state):
-        # boxes holds the boxes at sigma, and every entry of a check
-        # activation sits at sigma, so it holds every box at model prefix 1
-        boxes1 = [e for e in boxes if e[0] == (1,)]
-        return boxes1, self.m.successors(state) if boxes1 else ()
-
-
 def check(a, f, opts=None):
     """True iff f holds at the pointed model a.
 
@@ -110,8 +61,7 @@ def check(a, f, opts=None):
     when the options' budgets run out.
     """
     check_fragment(f)
-    engine = _CheckEngine(opts, a)
-    return engine.solve([((1,), (1,), f)], (1,)) is not None
+    return _Engine(opts, a).solve([((1,), (1,), f)], (1,)) is not None
 
 
 # --- the hardness instance ----------------------------------------------------

@@ -28,12 +28,12 @@ P of its suspended parents (see _Engine._activate).  An activation:
    witness rejects right there;
 2. gives the leaf its children, each a choice point on one explicit
    stack, tried depth-first over every combination of child successes:
-   the model checker's BOX1 children (see modelcheck), then for each
-   diamond at model prefix nu a child problem at a fresh successor
-   prefix holding the diamond body plus every box body recorded at an
-   ancestor prefix of nu, which inherits nothing (only its first
-   success is taken; its alternatives are its target states), then for
-   each refinement quantifier at nu a child activation at a fresh
+   in check the BOX1 children (see below), then for each diamond at
+   model prefix nu a child problem at a fresh successor prefix holding
+   the diamond body plus every box body recorded at an ancestor prefix
+   of nu, which inherits nothing (only its first success is taken; its
+   alternatives are its target states), then for each refinement
+   quantifier at nu a child activation at a fresh
    model prefix below nu (its alternatives are its accepted
    completions).  That child copies nothing: it inherits the entries at
    prefixes no longer than nu, which it looks up in its parents' P, the
@@ -63,9 +63,39 @@ which the choice points cut back; at the root's accepted completion it
 holds the path's triples in order, a branch that sat() checks is
 complete and clash-free.
 
-Each activation is passed the one model state its state prefix is
-pinned to (None in sat).  The model checker subclasses the engine; the
-modelcheck docstring describes its point, valuation and hooks.
+Model checking (modelcheck.check) runs the same engine with the checked
+pointed model as data: _Engine(opts, pointed) keeps the model and its
+point, and every state prefix is pinned to one state of the model.
+All entries of an activation sit at its state prefix, so each
+activation is passed just the state that prefix is pinned to, None in
+sat; that one value selects between sat and check wherever they differ:
+
+- prefix 1 is pinned to the point;
+- when a diamond introduces a fresh successor prefix under a prefix
+  pinned to v, the new prefix is pinned to some successor of v (one
+  backtracking choice per successor, tried in state order; in sat one
+  unpinned try);
+- every literal entry must hold at the state its prefix is pinned to:
+  the add blocks reject a new literal that does not hold there, and
+  keep no log (check needs only a verdict, so it builds no list of
+  produced triples);
+- box entries at model prefix 1 speak about the real model, so an extra
+  expansion (BOX1) gives every successor of the state a fresh pinned
+  prefix carrying all prefix-1 box bodies, each a BOX1 child, the first
+  children of the leaf.  They run right after saturation, before any
+  diamond child is pinned; the box bodies must hold at every successor
+  anyway, so BOX1 loses no branch.
+
+BOX1 runs once per state prefix, in the activation that introduced it
+(the root, a BOX1 child or a diamond child: the ones that inherit no
+entries), and covers every successor there.  A quantifier child shares
+its parent's state prefix and adds no BOX1 child: saturation adds only
+literals at model prefix 1, so its boxes there are its parent's, which
+the parent's BOX1 children already carry to every successor.  Two
+fresh prefixes at the same state may be pinned to the same model state.
+Since activations run from one explicit stack, 10,000 nested `<>` or
+`[]` over `p` are checked on a one-state loop in time and memory that
+grow with the whole-path state prefixes.
 """
 
 import functools
@@ -196,10 +226,13 @@ class SatResult(_Record):
 
 
 class _Engine:
-    def __init__(self, opts=None):
+    def __init__(self, opts=None, pointed=None):
         self.opts = opts or _DEFAULT_OPTIONS
-        self.point = None  # the model state the root's prefix is pinned to
-        self.valuation = None  # state -> its true atoms; set by the model checker
+        # the checked model and the state the root's prefix is pinned to;
+        # None in sat
+        self.model = self.point = None
+        if pointed is not None:
+            self.model, self.point = pointed.model, pointed.point
         self.counter = 1
         self.stats = SearchStats()
         self.trace = [] if self.opts.trace or self.opts.trace_out is not None else None
@@ -210,18 +243,6 @@ class _Engine:
         )
         self.last_clash = None
         self.log = []  # the triples produced along the current path, in order
-
-    # -- hooks for the model-checking variant ---------------------------------
-
-    def _successor_states(self, state):
-        """The states to pin a fresh successor prefix of a prefix pinned to
-        state to, tried in order; one unpinned try in sat."""
-        return (None,)
-
-    def _box1_targets(self, boxes, state):
-        """(boxes, states): the boxes a BOX1 child at each of the states
-        carries, or no states; only the model checker has BOX1 children."""
-        return (), ()
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -303,7 +324,7 @@ class _Engine:
         (model prefix, formula) pair to its position in order, the pairs
         the activation added, in insertion order; the log holds triples.
         inherited is None for the root, BOX1 and diamond children, which
-        introduce sigma and alone ask for BOX1 children.  A quantifier
+        introduce sigma and alone have BOX1 children.  A quantifier
         child for an Er entry at model prefix nu inherits what its parent
         sees at prefixes no longer than nu (all model prefixes an
         activation sees lie on one chain, so those are nu's ancestors) and
@@ -367,7 +388,7 @@ class _Engine:
         through its own choice points, which all lie above the length at
         push."""
         st = self.stats
-        true_atoms = None if state is None else self.valuation[state]
+        true_atoms = None if state is None else self.model.valuation[state]
         log = self.log
         top = 0
         for a in adds:
@@ -481,10 +502,13 @@ class _Engine:
             if adds is None and clash is not None and not (dias or boxes or ns):
                 self._reject_clash(clash)
             elif adds is None:
-                if boxes and up is None:
-                    boxes1, targets = self._box1_targets(boxes, state)
-                else:
-                    boxes1, targets = (), ()
+                boxes1, targets = (), ()
+                if boxes and up is None and state is not None:
+                    # every entry here sits at sigma, so these are all the
+                    # boxes at model prefix 1
+                    boxes1 = [e for e in boxes if e[0] == (1,)]
+                    if boxes1:
+                        targets = self.model.successors(state)
                 nb = len(targets)
                 nd = nb + len(dias)
                 nk = nd + len(ns)
@@ -510,7 +534,7 @@ class _Engine:
                             for x in boxes:
                                 if len(x[0]) <= lim:
                                     premises.append(x)
-                            states = self._successor_states(state)
+                            states = (None,) if state is None else self.model.successors(state)
                         concls = []
                         for x in premises:
                             concls.append((x[0], x[1].body))

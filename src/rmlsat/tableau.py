@@ -50,6 +50,8 @@ states of all its refinements, and a state's name is its full prefix,
 so the witness JSON grows with depth times states.
 """
 
+import re
+
 from ._record import _Frozen, _Record
 from .formula import And, Atom, Box, Diamond, ExistsR, NegAtom, Or, is_literal, render
 from .kripke import KripkeModel, RefinementRelation, _model_dict, model_from_dict
@@ -86,6 +88,9 @@ class ChoiceRequired(Exception):
 
 class ChoiceForbidden(Exception):
     """Only or-instances take a choice."""
+
+
+_PREFIX_TEXT = re.compile(r"[0-9]+(?:\.[0-9]+)*")
 
 
 def render_prefix(p):
@@ -194,9 +199,14 @@ class Branch:
 
     def _box_witnesses(self, mu, sigma):
         """Existing successor prefixes sigma.i visible to a box at (mu, sigma):
-        those occurring with a model prefix extending mu, in entry order."""
-        pairs = self._successors().get(sigma, ())
-        return list(dict.fromkeys(s for m, s in pairs if is_prefix_of(mu, m)))
+        those occurring with a model prefix extending mu, each once, in
+        entry order."""
+        k = len(mu)
+        out = {}
+        for m, s in self._successors().get(sigma, ()):
+            if m[:k] == mu:
+                out[s] = None
+        return list(out)
 
     def _dia_witnesses(self):
         """{(mu, sigma, a)} such that some (mu, sigma.i, a) occurs."""
@@ -208,12 +218,6 @@ class Branch:
             self._dia = dia
         return self._dia
 
-    def _has_dia_witness(self, mu, sigma, body):
-        return (mu, sigma, body) in self._dia_witnesses()
-
-    def _has_exr_witness(self, mu, sigma, body):
-        return (mu, sigma, body) in self._exr_children()
-
     def applicable_instances(self):
         """Every rule instance whose side condition holds and whose
         conclusion is not already present, in deterministic order.  One
@@ -221,7 +225,7 @@ class Branch:
         is built the first time an entry needs it."""
         out = []
         entries = self._entries
-        dia = exr = succ = None
+        dia = exr = None
         for e in entries:
             mu, sigma, f = e
             t = type(f)
@@ -245,18 +249,9 @@ class Branch:
                 if (mu, sigma, f.body) not in exr:
                     out.append(RuleInstance("exr", e))
             elif t is Box:
-                if succ is None:
-                    succ = self._successors()
-                pairs = succ.get(sigma)
-                if pairs:
-                    # _box_witnesses, inline: each sigma.i once, in entry order
-                    k = len(mu)
-                    seen = set()
-                    for m, sigma2 in pairs:
-                        if m[:k] == mu and sigma2 not in seen:
-                            seen.add(sigma2)
-                            if (mu, sigma2, f.body) not in entries:
-                                out.append(RuleInstance("box", e, sigma2))
+                for sigma2 in self._box_witnesses(mu, sigma):
+                    if (mu, sigma2, f.body) not in entries:
+                        out.append(RuleInstance("box", e, sigma2))
         return out
 
     def apply(self, inst, choice=None):
@@ -392,10 +387,20 @@ class ModelChain(_Record):
 
     @classmethod
     def from_dict(cls, d):
+        """The chain of a witness JSON object; ValueError when the object
+        does not follow its layout."""
+        models = d.get("models") if isinstance(d, dict) else None
+        if not isinstance(models, list):
+            raise ValueError('malformed witness: need an object with a "models" list')
         chain = []
-        for obj in d["models"]:
+        for obj in models:
             model, point = model_from_dict(obj)
-            chain.append(ChainModel(parse_prefix(obj["prefix"]), model, point))
+            prefix = obj.get("prefix")
+            if not isinstance(prefix, str) or not _PREFIX_TEXT.fullmatch(prefix):
+                raise ValueError(
+                    'malformed witness: a model\'s "prefix" must be indices joined by dots'
+                )
+            chain.append(ChainModel(parse_prefix(prefix), model, point))
         return cls(chain)
 
 

@@ -26,8 +26,7 @@ import modelgen  # noqa: E402
 from rmlsat import gen  # noqa: E402
 from rmlsat.formula import parse, render  # noqa: E402
 from rmlsat.kripke import KripkeModel, PointedModel  # noqa: E402
-from rmlsat.modelcheck import _CheckEngine  # noqa: E402
-from rmlsat.solver import SolverOptions, sat  # noqa: E402
+from rmlsat.solver import SolverOptions, _Engine, sat  # noqa: E402
 from rmlsat.tableau import render_entry  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden" / "search_order.json"
@@ -163,7 +162,7 @@ def _sat_record(h, f, entries):
 
 
 def _check_record(h, a, f):
-    engine = _CheckEngine(SolverOptions(trace=True), a)
+    engine = _Engine(SolverOptions(trace=True), a)
     got = engine.solve([((1,), (1,), f)], (1,))
     for line in engine.trace:
         h.update(line.encode() + b"\n")

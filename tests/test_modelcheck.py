@@ -10,7 +10,6 @@ from rmlsat.formula import FragmentViolation, parse, render
 from rmlsat.kripke import KripkeModel, PointedModel, greatest_refinement
 from rmlsat.modelcheck import (
     InvalidInput,
-    _CheckEngine,
     check,
     enumerate_const_formulas,
     lower_const,
@@ -19,7 +18,7 @@ from rmlsat.modelcheck import (
     render_const,
 )
 from rmlsat.oracle import oracle_eval
-from rmlsat.solver import SolverOptions, sat
+from rmlsat.solver import SolverOptions, _Engine, sat
 
 
 def pm(states, transitions, valuation, point):
@@ -82,7 +81,7 @@ class TestCheck:
 
 def traced_check(a, text):
     """(verdict, trace lines, stats summary) of check(a, text)."""
-    engine = _CheckEngine(SolverOptions(trace=True), a)
+    engine = _Engine(SolverOptions(trace=True), a)
     got = engine.solve([((1,), (1,), parse(text))], (1,))
     return got is not None, engine.trace, engine.stats.summary()
 
@@ -143,11 +142,40 @@ class TestStatePinning:
         # check needs only a verdict: after a search with or, BOX1,
         # diamond and quantifier choice points the produced log is empty
         a = PointedModel(search_order.star_model(), "c")
-        engine = _CheckEngine(SolverOptions(), a)
+        engine = _Engine(SolverOptions(), a)
         f = parse("[]Er (p | <>p | <>q) & <>(!p & q) & Er <>(p & q)")
         assert engine.solve([((1,), (1,), f)], (1,)) is not None
         assert engine.stats.backtracks > 0
         assert engine.log == []
+
+
+class TestWitnessesHold:
+    """check confirms every sat witness: f holds at the point of the root
+    model that sat read off its branch.  Root models here have up to 201
+    states, far more than the three of the oracle comparisons, so this
+    catches a fault in how check pins state prefixes to model states that
+    makes it reject a formula that holds (one that makes it accept too
+    much, such as a missing BOX1 child, passes here).  sat and check run
+    one engine, which differs between them only where an activation's
+    state is None, so a rule that both get wrong passes here too; the
+    oracle stays the independent reference for that."""
+
+    def assert_witnesses_hold(self, formulas):
+        n = 0
+        for f in formulas:
+            r = sat(f)
+            if r.satisfiable:
+                root = r.models.root()
+                assert check(PointedModel(root.model, root.point), f), render(f)
+                n += 1
+        return n
+
+    def test_size_6_sweep(self):
+        assert self.assert_witnesses_hold(gen.enumerate_formulas(6, ("p", "q"))) == 19336
+
+    def test_wide_and_deep_instances(self):
+        texts = [t for _, t in search_order.wide_instances()] + search_order.deep_instances()
+        assert self.assert_witnesses_hold(parse(t) for t in texts) == 10
 
 
 class TestReduction:

@@ -225,6 +225,20 @@ class TestExtraction:
             for a, b in zip(back, res.models)
         )
 
+    @pytest.mark.parametrize("d, problem", [
+        ({}, '"models" list'),
+        ({"models": 3}, '"models" list'),
+        ([], '"models" list'),
+        ({"models": [{"states": ["1"], "point": "1"}]}, '"prefix"'),
+        ({"models": [{"prefix": 1, "states": ["1"]}]}, '"prefix"'),
+        ({"models": [{"prefix": "1..2", "states": ["1"]}]}, '"prefix"'),
+        ({"models": [{"prefix": "1", "states": "1"}]}, '"states"'),
+        ({"models": ["1"]}, '"states"'),
+    ])
+    def test_malformed_witness_rejected(self, d, problem):
+        with pytest.raises(ValueError, match=problem):
+            ModelChain.from_dict(d)
+
     @pytest.mark.parametrize("text", [
         " & ".join([f"Er <>(x{i} & <>y)" for i in range(12)] + ["[]q", "<>Er <>z"]),
         "Er <>" * 12 + "p",
@@ -391,8 +405,9 @@ class TestIndex:
         for mu, sigma in prefixes:
             assert b._box_witnesses(mu, sigma) == scan_box_witnesses(b, mu, sigma)
             for body in bodies:
-                assert b._has_dia_witness(mu, sigma, body) == scan_dia_witness(b, mu, sigma, body)
-                assert b._has_exr_witness(mu, sigma, body) == scan_exr_witness(b, mu, sigma, body)
+                x = (mu, sigma, body)
+                assert (x in b._dia_witnesses()) == scan_dia_witness(b, mu, sigma, body)
+                assert (x in b._exr_children()) == scan_exr_witness(b, mu, sigma, body)
 
     def test_solver_branches(self):
         for f in gen.enumerate_formulas(4, ("p",)):
