@@ -26,11 +26,28 @@ its valuation together with which diamond bodies some child witnesses
 and which box bodies some child violates.  Quantifier-containing
 subproblems walk the space literally, smallest candidates first.
 
-Each public call does its per-formula work once.  One fragment check
-runs at the entry point.  A per-call table holds, for each quantified
-body, its modal depth and (when it has no Er) its compiled profile
-space, shared by every candidate, state and restriction of the call.
-Models, unravellings, restrictions and candidate trees are all walked in
+Each set of profiles the passes compute (a level of the fixpoint, the
+achievable set of a node) is cut to one profile when the bitwise union
+of the set is itself in the set.  The cut is exact: formulas are in
+negation normal form, so a child profile with more bits witnesses more
+diamonds and violates fewer boxes, the parent's profile grows with it,
+and so does the goal test; the union stands for every profile it
+contains.  The restriction pass for a quantifier-free body runs on the
+model's nodes paired with the remaining depth, keyed by (node
+identity, depth) as kripke.unravel_node keys its memo, so it builds no
+unravelled copy; only a body that contains Er has its unravelling built
+and its restrictions walked.
+
+Each public call walks its formula once.  oracle_sat makes one
+bottom-up pass over the closure of f that yields the fragment check,
+the atoms and, for each subformula, its modal depth, whether it contains
+Er and its diamond count; f's profile space is built from the same
+walk.  oracle_eval checks the fragment and walks only the Er bodies it
+meets.  A per-call table holds, for each quantified body, its modal
+depth and (when it has no Er) its compiled profile space, shared by
+every candidate, state and restriction of the call.  No table outlives
+a call, except the valuations of each tuple of atom names (a bounded
+table).  Models, restrictions and candidate trees are all walked in
 the node form of kripke, (label, successors), so no KripkeModel is built
 along the way.  A time_budget in seconds is checked once per candidate
 tree and once per restriction, and inside the profile passes once per
@@ -40,6 +57,7 @@ it by much; past it, as past the candidate and restriction caps, the
 call raises ResourceLimit.
 """
 
+from functools import lru_cache
 from itertools import combinations
 from time import perf_counter
 
@@ -53,12 +71,7 @@ from .formula import (
     FragmentViolation,
     NegAtom,
     Or,
-    atoms,
     check_fragment,
-    children,
-    contains_exists,
-    count_diamonds,
-    metrics,
     render,
 )
 from .kripke import graph_nodes, node_restrictions, unravel_node
@@ -69,20 +82,55 @@ DEFAULT_CANDIDATE_CAP = 10**7
 _EVAL_RESTRICTION_CAP = 10**6
 
 
-def _closure_order(f):
-    """Subformulas of f, children strictly before parents."""
+def _closure(f):
+    """One walk over the subformulas of f, children strictly before parents.
+
+    Returns the walk's order, a table giving each subformula the triple
+    (d_diamond, whether it contains Er, number of Diamond nodes), and
+    the sorted atom names of f.  An Ar or a general Not raises the
+    FragmentViolation of check_fragment."""
     order = []
-    seen = set()
+    names = set()
+    # a subformula is in facts once its walk is done; one equal to a
+    # subformula still being walked would be its own descendant
+    facts = {}
     stack = [(f, False)]
     while stack:
         g, done = stack.pop()
+        kind = type(g)
         if done:
+            if kind is And or kind is Or:
+                d0, e0, n0 = facts[g.left]
+                d1, e1, n1 = facts[g.right]
+                facts[g] = (d0 if d0 > d1 else d1, e0 or e1, n0 + n1)
+            elif kind is Diamond or kind is Box or kind is ExistsR:
+                d, e, n = facts[g.body]
+                if kind is ExistsR:
+                    facts[g] = (d, True, n)
+                else:
+                    facts[g] = (d + 1, e, n + (kind is Diamond))
+            else:
+                check_fragment(f)
             order.append(g)
-        elif g not in seen:
-            seen.add(g)
-            stack.append((g, True))
-            stack.extend((c, False) for c in reversed(children(g)))
-    return order
+        elif g not in facts:
+            if kind is Atom or kind is NegAtom:
+                names.add(g.name)
+                facts[g] = (0, False, 0)
+                order.append(g)
+            elif kind is And or kind is Or:
+                stack += ((g, True), (g.right, False), (g.left, False))
+            else:
+                stack += ((g, True), (g.body, False))
+    return order, facts, tuple(sorted(names))
+
+
+def _cut(profiles):
+    """profiles, or the set of its bitwise union when the union is one of
+    them: that profile dominates the rest (see the module docstring)."""
+    union = 0
+    for p in profiles:
+        union |= p
+    return {union} if union in profiles else profiles
 
 
 class _ProfileSpace:
@@ -93,36 +141,42 @@ class _ProfileSpace:
     wit marks diamond formulas some chosen child witnesses, vio marks
     box formulas some chosen child violates.  Literal bits depend only on
     the valuation; the and/or bits are then set by ops, a list of
-    (is_and, bit, mask of the two children) in closure order.
+    (is_and, bit, mask of the two children) in closure order.  order,
+    when given, is the closure order of f from _closure.
     """
 
-    def __init__(self, f):
-        order = _closure_order(f)
-        self.bit = bit = {g: 1 << i for i, g in enumerate(order)}
-        self.goal = bit[f]
-        self.pos = []
-        self.neg = []
-        self.dia = []
-        self.box = []
-        self.ops = []
-        self.dia_mask = 0
-        self.box_mask = 0
+    def __init__(self, f, order=None):
+        if order is None:
+            order = _closure(f)[0]
+        self.bit = bit = {}
+        self.pos = pos = []
+        self.neg = neg = []
+        self.dia = dia = []
+        self.box = box = []
+        self.ops = ops = []
+        dia_mask = box_mask = 0
+        b = 1
         for g in order:
+            bit[g] = b
             kind = type(g)
             if kind is Atom:
-                self.pos.append((g.name, bit[g]))
+                pos.append((g.name, b))
             elif kind is NegAtom:
-                self.neg.append((g.name, bit[g]))
+                neg.append((g.name, b))
             elif kind is And or kind is Or:
-                self.ops.append((kind is And, bit[g], bit[g.left] | bit[g.right]))
+                ops.append((kind is And, b, bit[g.left] | bit[g.right]))
             elif kind is Diamond:
-                self.dia.append((bit[g], bit[g.body]))
-                self.dia_mask |= bit[g]
+                dia.append((b, bit[g.body]))
+                dia_mask |= b
             elif kind is Box:
-                self.box.append((bit[g], bit[g.body]))
-                self.box_mask |= bit[g]
+                box.append((b, bit[g.body]))
+                box_mask |= b
             else:
                 raise FragmentViolation(f"cannot evaluate {render(g)} in a profile")
+            b <<= 1
+        self.goal = bit[f]
+        self.dia_mask = dia_mask
+        self.box_mask = box_mask
         self._literals = {}
         self._deltas = {}
 
@@ -163,20 +217,24 @@ class _ProfileSpace:
         child, children considered independently; tick, unless None, is
         called once per pair of each step.
 
-        A child whose profile set is the very object of one that already
-        added nothing is skipped: summaries combine by bitwise or, so a set
-        that adds nothing to the pairs at one step adds nothing later."""
+        Each step combines the pairs so far with the distinct deltas of
+        the child's set, computed once per set object.  A child whose
+        profile set is the very object of one that already added nothing
+        is skipped: summaries combine by bitwise or, so a set that adds
+        nothing to the pairs at one step adds nothing later."""
         out = {(0, 0)}
-        idle = None
+        idle = last = deltas = None
         for profs in child_profile_sets:
             if profs is idle:
                 continue
+            if profs is not last:
+                last = profs
+                deltas = {self.delta(p) for p in profs}
             new = set(out)
             for w0, v0 in out:
                 if tick is not None:
                     tick()
-                for p in profs:
-                    dw, dv = self.delta(p)
+                for dw, dv in deltas:
                     new.add((w0 | dw, v0 | dv))
             if len(new) == len(out):
                 idle = profs
@@ -184,40 +242,50 @@ class _ProfileSpace:
         return out
 
 
-def _restriction_satisfiable(tree, space, tick):
-    """Does some root-keeping restriction of the node-form tree satisfy
-    the quantifier-free formula of space?  tick, unless None, is called
-    once per node visited and passed on to space.summaries.
+def _restriction_satisfiable(node, depth, space, tick):
+    """Does some root-keeping restriction of the unravelling of node to
+    the given depth satisfy the quantifier-free formula of space?  tick,
+    unless None, is called once per (node, depth) visited and passed on
+    to space.summaries.
 
     Equivalent to enumerating every restriction and evaluating, folded
     into one bottom-up pass: each node's achievable profiles arise from
-    its valuation and an independent drop-or-restrict choice per child.
-    A subtree shared by several parents is visited once, and its one
-    profile set lets summaries skip the repeats.  The walk is post-order
-    on an explicit stack, as in kripke.unravel_node, so depth costs no
-    Python stack.
+    its valuation and an independent drop-or-restrict choice per child,
+    and are cut as the module docstring says.  The pass runs on the
+    nodes themselves, a child of (node, d) being (successor, d - 1), and
+    visits each (node, d) once, as kripke.unravel_node builds each
+    subtree once; so it needs no unravelled copy, and the one profile
+    set of a pair reached along several paths lets summaries skip the
+    repeats.  The walk is post-order on an explicit stack, so depth
+    costs no Python stack.  The nodes must stay alive during the pass.
     """
     achievable = {}
-    stack = [(tree, False)]
+    profile = space.profile
+    stack = [(node, depth, False)]
     while stack:
-        node, ready = stack.pop()
-        if id(node) in achievable:
+        n, d, ready = stack.pop()
+        key = (id(n), d)
+        if key in achievable:
             continue
-        valuation, kids = node
+        valuation, kids = n
         if ready:
-            summaries = space.summaries([achievable[id(k)] for k in kids], tick)
-            achievable[id(node)] = {space.profile(valuation, w, v) for w, v in summaries}
+            sums = space.summaries([achievable[id(k), d - 1] for k in kids], tick)
+            achievable[key] = _cut({profile(valuation, w, v) for w, v in sums})
+            continue
+        if tick is not None:
+            tick()
+        if d <= 0 or not kids:
+            achievable[key] = {profile(valuation, 0, 0)}
         else:
-            if tick is not None:
-                tick()
-            stack.append((node, True))
-            stack.extend((k, False) for k in kids)
-    return any(p & space.goal for p in achievable[id(tree)])
+            stack.append((n, d, True))
+            stack.extend((k, d - 1, False) for k in kids)
+    return any(p & space.goal for p in achievable[id(node), depth])
 
 
 class _Call:
     """What one public oracle call shares across every model, candidate
-    tree and restriction it visits: the facts per quantified body and the
+    tree and restriction it visits: the closure facts of the formulas it
+    walked (see _closure), the facts per quantified body and the
     deadline."""
 
     def __init__(self, time_budget):
@@ -226,6 +294,7 @@ class _Call:
         # the tick for the profile passes' inner loops; None without a
         # deadline, so those loops then make no call at all
         self.inner_tick = None if time_budget is None else self.tick
+        self.facts = {}
         self.bodies = {}
 
     def tick(self):
@@ -234,11 +303,19 @@ class _Call:
 
     def body(self, psi):
         """(d_diamond(psi), the _ProfileSpace of psi or None when psi
-        contains Er), computed once per call."""
+        contains Er), computed once per call.  A body that no walk of the
+        call has reached yet (oracle_eval meets them lazily) is walked
+        here, and its space is built from that walk."""
         got = self.bodies.get(psi)
         if got is None:
-            space = None if contains_exists(psi) else _ProfileSpace(psi)
-            got = self.bodies[psi] = (metrics(psi).d_diamond, space)
+            facts = self.facts
+            order = None
+            if psi not in facts:
+                order, more, _ = _closure(psi)
+                facts.update(more)
+            depth, has_exists, _ = facts[psi]
+            space = None if has_exists else _ProfileSpace(psi, order)
+            got = self.bodies[psi] = (depth, space)
         return got
 
 
@@ -291,9 +368,9 @@ class _Eval:
     def _exists(self, node, psi):
         call = self.call
         depth, space = call.body(psi)
-        tree = unravel_node(node, depth, self.trees)
         if space is not None:
-            return _restriction_satisfiable(tree, space, call.inner_tick)
+            return _restriction_satisfiable(node, depth, space, call.inner_tick)
+        tree = unravel_node(node, depth, self.trees)
         count = 0
         for candidate in node_restrictions(tree):
             count += 1
@@ -322,12 +399,14 @@ def oracle_eval(a, f, time_budget=None):
 # --- bounded-tree satisfiability ---------------------------------------------
 
 
+@lru_cache(maxsize=32)
 def _valuations(atom_names):
-    out = []
-    for r in range(len(atom_names) + 1):
-        for combo in combinations(atom_names, r):
-            out.append(frozenset(combo))
-    return out
+    """Every subset of the tuple atom_names, as frozensets, smallest first."""
+    return tuple(
+        frozenset(combo)
+        for r in range(len(atom_names) + 1)
+        for combo in combinations(atom_names, r)
+    )
 
 
 def _tree_counts(depth, branching):
@@ -372,23 +451,28 @@ def _kid_tuples(total, maxparts, depth, vals, branching, min_size, min_idx):
                 yield (t,) + rest
 
 
-def _profile_sat(f, depth, branching, atom_names, call):
-    """Bounded-class satisfiability for quantifier-free f: iterate the set
-    of achievable node profiles level by level up to the depth bound."""
-    space = _ProfileSpace(f)
-    vals = _valuations(atom_names)
-    level = {space.profile(v, 0, 0) for v in vals}
+def _profile_sat(space, depth, branching, vals, call):
+    """Bounded-class satisfiability for the quantifier-free formula of
+    space: iterate the set of achievable node profiles level by level up
+    to the depth bound, cut as the module docstring says, and stop at
+    the first level that holds the goal."""
+    goal = space.goal
+    profile = space.profile
+    level = _cut({profile(v, 0, 0) for v in vals})
     for _ in range(depth):
+        if any(p & goal for p in level):
+            return True
         call.tick()
         summaries = space.summaries([level] * branching, call.inner_tick)
         nxt = set(level)
         for v in vals:
             for w, vi in summaries:
-                nxt.add(space.profile(v, w, vi))
+                nxt.add(profile(v, w, vi))
+        nxt = _cut(nxt)
         if nxt == level:
             break
         level = nxt
-    return any(p & space.goal for p in level)
+    return any(p & goal for p in level)
 
 
 def oracle_sat(f, max_candidates=DEFAULT_CANDIDATE_CAP, time_budget=None):
@@ -403,14 +487,12 @@ def oracle_sat(f, max_candidates=DEFAULT_CANDIDATE_CAP, time_budget=None):
     per fixpoint level and per summary pair of each child step) it raises
     ResourceLimit too.
     """
-    check_fragment(f)
     call = _Call(time_budget)
-    names = atoms(f)
-    depth = metrics(f).d_diamond
-    branching = count_diamonds(f)
-    if not contains_exists(f):
-        return _profile_sat(f, depth, branching, names, call)
+    order, call.facts, names = _closure(f)
+    depth, has_exists, branching = call.facts[f]
     vals = _valuations(names)
+    if not has_exists:
+        return _profile_sat(_ProfileSpace(f, order), depth, branching, vals, call)
     max_nodes = _tree_counts(depth, branching)
     count = 0
     for n in range(1, max_nodes + 1):

@@ -328,8 +328,8 @@ class TestOracle:
             assert run(["check", "--model", mpath, "--formula", "@" + str(fpath)])[:2] == want
 
     def test_oracle_check_deep_quantifier_free_body(self, tmp_path):
-        # the restriction pass walks the unravelled tree, 2,001 levels deep
-        # here, without recursion, so neither input exits 4
+        # the restriction pass walks (state, remaining depth) pairs, 2,001
+        # levels deep here, without recursion, so neither input exits 4
         mpath = write_model(
             tmp_path, transitions=[["s", "s"]], valuation={"s": ["p"]}, point="s"
         )
