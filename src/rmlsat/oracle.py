@@ -23,8 +23,21 @@ for quantifier-free subproblems both searches collapse into profile
 fixpoints that decide exactly the same question: a profile records
 which subformulas hold at a node, and a node's profile is determined by
 its valuation together with which diamond bodies some child witnesses
-and which box bodies some child violates.  Quantifier-containing
-subproblems walk the space literally, smallest candidates first.
+and which box bodies some child violates.
+
+A formula with Er is bracketed between two Er-free readings of it, each
+decided by the same profile fixpoint on the same bounded class.  The
+lower reading reads each Er psi as psi: every tree refines itself, and
+keeping every edge is one of the restrictions the oracle tries, so a
+tree that satisfies the lower reading satisfies the formula.  The upper
+reading reads Er psi as the image of psi, with the boxes of psi true
+and the Er nested in it read the same way, or as false when psi has no
+Er and is unsatisfiable: a restriction keeps the valuations and only
+loses successors, so wherever a restriction of the unravelling
+satisfies psi, the tree itself satisfies the image.  A satisfiable
+lower reading means SAT and an unsatisfiable upper reading UNSAT; only
+where the two disagree are the candidate trees walked literally,
+smallest first, and only that walk counts against max_candidates.
 
 Each set of profiles the passes compute (a level of the fixpoint, the
 achievable set of a node) is cut to one profile when the bitwise union
@@ -42,9 +55,10 @@ Each public call walks its formula once.  oracle_sat makes one
 bottom-up pass over the closure of f that yields the fragment check,
 the atoms and, for each subformula, its modal depth, whether it contains
 Er and its diamond count; f's profile space is built from the same
-walk.  oracle_eval checks the fragment and walks only the Er bodies it
-meets.  A per-call table holds, for each quantified body, its modal
-depth and (when it has no Er) its compiled profile space, shared by
+walk, as are the two readings of a formula with Er.  oracle_eval
+checks the fragment and walks only the Er bodies it meets.  A per-call
+table holds, for each quantified body, its modal depth and (when it
+has no Er) its compiled profile space, shared by
 every candidate, state and restriction of the call.  No table outlives
 a call, except the valuations of each tuple of atom names (a bounded
 table).  Models, restrictions and candidate trees are all walked in
@@ -143,9 +157,17 @@ class _ProfileSpace:
     the valuation; the and/or bits are then set by ops, a list of
     (is_and, bit, mask of the two children) in closure order.  order,
     when given, is the closure order of f from _closure.
+
+    A formula with Er gets one of the two Er-free readings of oracle_sat.
+    Without empty, each Er psi shares the bit of psi (the lower
+    reading).  With empty, a predicate that says a body is
+    unsatisfiable, Er psi takes the bit of the image of psi, or a bit no
+    profile has when empty(psi) (the upper reading); the image of a box is
+    a bit every profile has, and a diamond or and/or whose operands'
+    images are their own bits is its own image.
     """
 
-    def __init__(self, f, order=None):
+    def __init__(self, f, order=None, empty=None):
         if order is None:
             order = _closure(f)[0]
         self.bit = bit = {}
@@ -154,11 +176,25 @@ class _ProfileSpace:
         self.dia = dia = []
         self.box = box = []
         self.ops = ops = []
-        dia_mask = box_mask = 0
+        dia_mask = box_mask = const = 0
         b = 1
+        img = None
+        if empty is not None:
+            # the upper reading: one bit every profile has, one none has,
+            # and the image of each closure formula, which differs from
+            # its own bit only above a box
+            const, bottom = b, b << 1
+            b <<= 2
+            img = {}
         for g in order:
-            bit[g] = b
             kind = type(g)
+            if kind is ExistsR:
+                if img is None:
+                    bit[g] = bit[g.body]
+                else:
+                    bit[g] = img[g] = bottom if empty(g.body) else img[g.body]
+                continue
+            bit[g] = b
             if kind is Atom:
                 pos.append((g.name, b))
             elif kind is NegAtom:
@@ -174,7 +210,25 @@ class _ProfileSpace:
             else:
                 raise FragmentViolation(f"cannot evaluate {render(g)} in a profile")
             b <<= 1
+            if img is None:
+                continue
+            if kind is Box:
+                img[g] = const
+            elif kind is Diamond and img[g.body] != bit[g.body]:
+                img[g] = b
+                dia.append((b, img[g.body]))
+                dia_mask |= b
+                b <<= 1
+            elif (kind is And or kind is Or) and (
+                img[g.left] != bit[g.left] or img[g.right] != bit[g.right]
+            ):
+                img[g] = b
+                ops.append((kind is And, b, img[g.left] | img[g.right]))
+                b <<= 1
+            else:
+                img[g] = bit[g]
         self.goal = bit[f]
+        self.const = const
         self.dia_mask = dia_mask
         self.box_mask = box_mask
         self._literals = {}
@@ -198,7 +252,7 @@ class _ProfileSpace:
     def profile(self, valuation, wit, vio):
         bits = self._literals.get(valuation)
         if bits is None:
-            bits = 0
+            bits = self.const
             for name, b in self.pos:
                 if name in valuation:
                     bits |= b
@@ -475,24 +529,31 @@ def _profile_sat(space, depth, branching, vals, call):
     return any(p & goal for p in level)
 
 
-def oracle_sat(f, max_candidates=DEFAULT_CANDIDATE_CAP, time_budget=None):
-    """Bounded-model satisfiability: true iff some tree over atoms(f) with
-    depth at most d_diamond(f) and per-node branching at most the number
-    of diamonds in f satisfies f.
-
-    Quantifier-containing formulas walk the candidate trees smallest
-    first and raise ResourceLimit past max_candidates; quantifier-free
-    formulas are decided by the equivalent profile fixpoint.  Past
-    time_budget seconds (checked once per candidate, per restriction,
-    per fixpoint level and per summary pair of each child step) it raises
-    ResourceLimit too.
-    """
-    call = _Call(time_budget)
-    order, call.facts, names = _closure(f)
+def _bracket(f, order, vals, call):
+    """True when the lower reading of f is satisfiable on the bounded
+    class, False when the upper one is not, None when they disagree (see
+    oracle_sat).  A formula without Er is its own lower and upper
+    reading, so this decides it."""
     depth, has_exists, branching = call.facts[f]
-    vals = _valuations(names)
+    if _profile_sat(_ProfileSpace(f, order), depth, branching, vals, call):
+        return True
     if not has_exists:
-        return _profile_sat(_ProfileSpace(f, order), depth, branching, vals, call)
+        return False
+
+    def empty(psi):
+        d, space = call.body(psi)
+        return space is not None and not _profile_sat(space, d, call.facts[psi][2], vals, call)
+
+    if not _profile_sat(_ProfileSpace(f, order, empty), depth, branching, vals, call):
+        return False
+    return None
+
+
+def _walk(f, vals, call, max_candidates):
+    """The literal walk: evaluate f on every candidate tree of the bounded
+    class, smallest first, until one satisfies it; ResourceLimit past
+    max_candidates."""
+    depth, _, branching = call.facts[f]
     max_nodes = _tree_counts(depth, branching)
     count = 0
     for n in range(1, max_nodes + 1):
@@ -506,3 +567,36 @@ def oracle_sat(f, max_candidates=DEFAULT_CANDIDATE_CAP, time_budget=None):
             if _Eval(call).eval(tree, f):
                 return True
     return False
+
+
+def oracle_sat(f, max_candidates=DEFAULT_CANDIDATE_CAP, time_budget=None):
+    """Bounded-model satisfiability: true iff some tree over atoms(f) with
+    depth at most d_diamond(f) and per-node branching at most the number
+    of diamonds in f satisfies f.
+
+    A formula without Er is decided by the profile fixpoint.  A formula
+    with Er is first bracketed between two Er-free readings, each
+    decided by the same fixpoint on the same bounded class:
+
+    - the lower reading reads each Er psi as psi.  Every tree refines
+      itself, and keeping every edge is one of the root-keeping
+      restrictions the oracle tries, so a tree that satisfies the lower
+      reading satisfies f: SAT when it is satisfiable.
+    - the upper reading reads each Er psi as the image of psi: its boxes
+      true and the Er nested in it read the same way, and false outright
+      when psi has no Er and is unsatisfiable.  A restriction keeps the
+      valuations and loses only successors, so a tree satisfies the image
+      of psi wherever a restriction of its unravelling satisfies psi:
+      UNSAT when the upper reading is unsatisfiable.
+
+    Only when the two disagree are the candidate trees walked literally,
+    smallest first; the walk raises ResourceLimit past max_candidates.
+    Past time_budget seconds (checked once per candidate, per
+    restriction, per fixpoint level and per summary pair of each child
+    step) it raises ResourceLimit too.
+    """
+    call = _Call(time_budget)
+    order, call.facts, names = _closure(f)
+    vals = _valuations(names)
+    verdict = _bracket(f, order, vals, call)
+    return _walk(f, vals, call, max_candidates) if verdict is None else verdict

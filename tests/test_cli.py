@@ -341,10 +341,11 @@ class TestOracle:
 
     @pytest.mark.parametrize("command", ["oracle-sat", "oracle-check"])
     def test_time_budget_exhausted_exit_three(self, tmp_path, command):
-        # without a budget, oracle-sat runs past 30 s on the first, and
-        # oracle-check takes about half a minute to hit its restriction cap
+        # without a budget, the candidate walk of oracle-sat runs past 5 s
+        # on the first, and oracle-check takes about half a minute to hit
+        # its restriction cap
         if command == "oracle-sat":
-            argv = ["oracle-sat", "<><><>Er <>(!p & p)"]
+            argv = ["oracle-sat", "Er (<>q & []p) & []!p & <><><>r"]
         else:
             model = write_model(
                 tmp_path,

@@ -21,6 +21,7 @@ from rmlsat.formula import (
     NegAtom,
     Not,
     Or,
+    contains_exists,
     metrics,
     parse,
     render,
@@ -142,8 +143,11 @@ class TestSat:
         assert oracle_sat(parse("<><>[](p & !p)"))
 
     def test_resource_limit(self):
+        # SAT, but neither Er-free reading decides it, so the walk runs
+        f = parse("<>p & <>!p & Er []p")
         with pytest.raises(ResourceLimit):
-            oracle_sat(parse("Er <><>(p & !p)"), max_candidates=3)
+            oracle_sat(f, max_candidates=3)
+        assert oracle_sat(f)
 
     def test_forall_rejected(self):
         with pytest.raises(FragmentViolation):
@@ -209,14 +213,17 @@ class TestProfileSpace:
         built = []
 
         class Counting(_ProfileSpace):
-            def __init__(self, f, order=None):
+            def __init__(self, f, order=None, empty=None):
                 built.append(f)
-                super().__init__(f, order)
+                super().__init__(f, order, empty)
 
         monkeypatch.setattr(oracle, "_ProfileSpace", Counting)
-        # unsatisfiable, so every candidate tree is walked
-        assert not oracle_sat(parse("Er <>p & (Er <>q | Er <>p) & [](p & !p)"))
-        assert sorted(map(render, built)) == ["<>p", "<>q"]
+        # unsatisfiable and left open by both Er-free readings, so every
+        # candidate tree is walked; f's two readings are one space each,
+        # and the upper one builds the body spaces the walk then shares
+        f = parse("Er (<>q & []p) & (Er <>q | Er <>p) & []!p & <>r")
+        assert not oracle_sat(f)
+        assert sorted(map(render, built)) == sorted([render(f)] * 2 + ["(<>q & []p)", "<>p", "<>q"])
         built.clear()
         full = pm(["a", "b", "c"], [(x, y) for x in "abc" for y in "abc"], {"a": ["p"]}, "a")
         assert oracle_eval(full, parse("[][]Er <>p & <>Er (Er <>p & []p)"))
@@ -290,12 +297,12 @@ class TestProfileSpace:
 
 
 def test_time_budget():
-    """Without a budget, the first runs past 30 s and the second takes
-    about half a minute to hit the restriction cap; with 0.2 s both
-    raise ResourceLimit."""
+    """Without a budget, the walk of the first runs past 5 s and the
+    second takes about half a minute to hit the restriction cap; with
+    0.2 s both raise ResourceLimit."""
     full = pm(["a", "b", "c"], [(x, y) for x in "abc" for y in "abc"], {"a": ["p"]}, "a")
     cases = [
-        lambda: oracle_sat(parse("<><><>Er <>(!p & p)"), time_budget=0.2),
+        lambda: oracle_sat(parse("Er (<>q & []p) & []!p & <><><>r"), time_budget=0.2),
         lambda: oracle_eval(full, parse("Er (Er p & <><><><>(p & !p))"), time_budget=0.2),
     ]
 
@@ -313,6 +320,38 @@ def test_time_budget():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+
+
+def walk_setup(f):
+    """The closure order, the valuations and a fresh call for f, as
+    oracle_sat makes them."""
+    call = oracle._Call(None)
+    order, call.facts, names = oracle._closure(f)
+    return order, oracle._valuations(names), call
+
+
+def test_bracket_agrees_with_the_walk():
+    """On every quantified formula of size <= 6 over p, q, each verdict
+    of the two Er-free readings is the literal walk's; the counts of
+    what each reading decides are pinned."""
+    decided = {True: 0, False: 0, None: 0}
+    for f in gen.enumerate_formulas(6, ("p", "q")):
+        if not contains_exists(f):
+            continue
+        got = oracle._bracket(f, *walk_setup(f))
+        order, vals, call = walk_setup(f)
+        want = oracle._walk(f, vals, call, oracle.DEFAULT_CANDIDATE_CAP)
+        assert got is None or got is want, render(f)
+        decided[got] += 1
+    # the eight left open are <>l & Er []!l and its mirrors, all SAT
+    assert decided == {True: 10308, False: 584, None: 8}
+
+
+def test_bracket_decides_an_empty_body_at_once():
+    """The walk of each ran past 5 s: nothing satisfies the Er body, and
+    the upper reading sees it."""
+    for text in ["<><><>Er <>(!p & p)", "<><>Er (<>p & []!p)"]:
+        assert oracle_sat(parse(text), time_budget=0.1) is False
 
 
 def test_time_budget_inside_a_fixpoint_level():
